@@ -315,7 +315,7 @@ def _cmd_kms_check(args):
         raise ComputationError(
             f"--beta must exceed beta_c = {_fmt(ctx.beta_c)}"
         )
-    pool = [t for t in enumerate_up_to(graph, cutoff) if t.length <= 2]
+    pool = [t for t in rep.basis if t.length <= 2]
     rng = random.Random(20_24)
     rows = []
     failures = 0
@@ -635,3 +635,7 @@ def main(argv=None):
 
 def console_main():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

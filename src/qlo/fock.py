@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .growth import _cliques, enumerate_up_to
-from .monoid import INFINITY, MismatchedGraphError, divides, join, multiply, _check_same_graph
+# multiply is no longer called here; bench/tests checks that tracing it
+# through qlo.fock leaves it restored, so the name stays importable
+from .monoid import INFINITY, MismatchedGraphError, divides, join, multiply  # noqa: F401
+from .monoid import _check_same_graph, _letters, _product
 from .thermo import ComputationError, ThermoContext, tail_mass
 
 __all__ = [
@@ -139,15 +144,23 @@ class TruncatedRep:
         self.graph = graph
         self.cutoff = Fraction(cutoff)
         self.basis = basis
-        self.index = {x.key: i for i, x in enumerate(basis)}
         self.dim = len(basis)
+        self._row = {x._masks: i for i, x in enumerate(basis)}
+        # scaled weights, ascending because the basis is sorted by weight
+        self._weights = [x._w for x in basis]
+        self._top = math.floor(self.cutoff * graph.scale)
         self._range_cache = {}
         self._left_cache = {}
         self._density_cache = {}
         self._thermo = None
 
+    @cached_property
+    def index(self):
+        """Basis position of each trace, keyed by ``Trace.key``."""
+        return {x.key: i for i, x in enumerate(self.basis)}
+
     def index_of(self, trace):
-        return self.index.get(trace.key)
+        return self._row.get(trace._masks)
 
     def thermo(self, tol=1e-12):
         if self._thermo is None:
@@ -165,30 +178,48 @@ def build_rep(graph, cutoff):
 
 
 def left_op(rep, p):
-    """Truncated left translation by p: basis vector at x goes to p*x."""
+    """Truncated left translation by p: basis vector at x goes to p*x.
+
+    The basis holds every trace of weight <= W, sorted by weight, so p*x is
+    a basis vector exactly when w(x) <= W - w(p) and is dropped otherwise.
+    Only that prefix of the basis, found by bisection on the scaled
+    weights, is multiplied, on block masks and without building traces.
+    """
     _check_rep_graph(rep, p)
-    cached = rep._left_cache.get(p.key)
+    cached = rep._left_cache.get(p._masks)
     if cached is None:
-        entries = {}
-        for col, x in enumerate(rep.basis):
-            row = rep.index_of(multiply(p, x))
-            if row is not None:
-                entries[(row, col)] = 1
-        cached = SparseOperator(rep.dim, entries)
-        rep._left_cache[p.key] = cached
+        end = bisect_right(rep._weights, rep._top - p._w)
+        dep, pm, row = rep.graph._dep, p._masks, rep._row
+        cached = SparseOperator(
+            rep.dim,
+            {
+                (row[_product(dep, pm, x._masks)], col): 1
+                for col, x in enumerate(rep.basis[:end])
+            },
+        )
+        rep._left_cache[p._masks] = cached
     return cached
 
 
 def range_projection(rep, p):
-    """Diagonal 0/1 projection onto the left multiples of p (exact at any W)."""
+    """Diagonal 0/1 projection onto the left multiples of p (exact at any W).
+
+    Only basis elements at least as heavy as p, a suffix of the basis, are
+    tested for divisibility.
+    """
     _check_rep_graph(rep, p)
-    cached = rep._range_cache.get(p.key)
+    cached = rep._range_cache.get(p._masks)
     if cached is None:
+        start = bisect_left(rep._weights, p._w)
         cached = SparseOperator(
             rep.dim,
-            {(i, i): 1 for i, x in enumerate(rep.basis) if divides(p, x)},
+            {
+                (i, i): 1
+                for i, x in enumerate(rep.basis[start:], start)
+                if divides(p, x)
+            },
         )
-        rep._range_cache[p.key] = cached
+        rep._range_cache[p._masks] = cached
     return cached
 
 
@@ -220,9 +251,8 @@ def vacuum_projection(rep):
 
     alternating = SparseOperator.zero(rep.dim)
     for block in _cliques(graph, include_empty=True):
-        word = sorted(block, key=graph._index.__getitem__)
-        ell = left_op(rep, graph.trace(word))
-        alternating = alternating + (-1) ** len(block) * (ell @ ell.adjoint())
+        ell = left_op(rep, graph.trace(_letters(graph, block)))
+        alternating = alternating + (-1) ** block.bit_count() * (ell @ ell.adjoint())
 
     if product != alternating:
         raise OperatorIdentityError(
@@ -246,15 +276,15 @@ def density(rep, beta):
 def evolution_unitary(rep, t):
     """Diagonal phase operator exp(i*t*weight(x)); conjugation scales
     left translations by the phase of their weight."""
-    return SparseOperator.diagonal(
-        cmath.exp(1j * t * float(x.weight)) for x in rep.basis
-    )
+    d = rep.graph.scale
+    return SparseOperator.diagonal(cmath.exp(1j * t * (w / d)) for w in rep._weights)
 
 
 def _density_values(rep, beta):
     cached = rep._density_cache.get(beta)
     if cached is None:
-        cached = [math.exp(-beta * float(x.weight)) for x in rep.basis]
+        d = rep.graph.scale
+        cached = [math.exp(-beta * (w / d)) for w in rep._weights]
         rep._density_cache[beta] = cached
     return cached
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .monoid import Trace
+from .monoid import Trace, _block_weight, _dependents, _letters
 
 __all__ = [
     "WeightedPolynomial",
@@ -164,12 +165,9 @@ class GrowthTable:
     def max_weight(self):
         return self.rows[-1][0]
 
-    def truncated_sum(self, beta, up_to=None):
-        """Sum of n * exp(-beta*w) over rows with w <= up_to (default: all)."""
-        bound = self.cutoff if up_to is None else Fraction(up_to)
-        return sum(
-            n * math.exp(-beta * float(w)) for w, n in self.rows if w <= bound
-        )
+    def truncated_sum(self, beta):
+        """Sum of n * exp(-beta*w) over all rows."""
+        return sum(n * math.exp(-beta * float(w)) for w, n in self.rows)
 
     def as_polynomial(self):
         return WeightedPolynomial({w: n for w, n in self.rows})
@@ -192,61 +190,65 @@ class InversionReport:
 
 
 def _cliques(graph, include_empty=False):
-    """All cliques of the commutation graph, as intern'd frozensets."""
-    gens = graph.generators
-    adj = graph._adj
-    out = [graph.intern_block(())[0]] if include_empty else []
+    """All cliques of the commutation graph, as block masks."""
+    dep = graph._dep
+    out = [0] if include_empty else []
 
     def grow(members, candidates):
-        for i, s in enumerate(candidates):
-            block = members + (s,)
-            out.append(graph.intern_block(block)[0])
-            grow(block, [r for r in candidates[i + 1 :] if r in adj[s]])
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            block = members | low
+            out.append(block)
+            grow(block, candidates & ~dep[low.bit_length() - 1])
 
-    grow((), list(gens))
+    grow(0, (1 << len(dep)) - 1)
     return out
-
-
-def _block_weight(graph, block):
-    return sum((graph.weights[s] for s in block), Fraction(0))
 
 
 def _successors(graph, cliques):
     """succ[i] = indices of cliques allowed directly after clique i."""
-    adj = graph._adj
     succ = []
     for b in cliques:
-        allowed = []
-        for j, c in enumerate(cliques):
-            # every letter of the next block must depend on some letter of b
-            if all(not b <= adj[s] for s in c):
-                allowed.append(j)
-        succ.append(allowed)
+        # every letter of the next block must depend on some letter of b
+        reach = _dependents(graph._dep, b)
+        succ.append([j for j, c in enumerate(cliques) if not c & ~reach])
     return succ
 
 
 def enumerate_up_to(graph, cutoff):
-    """All traces of weight <= cutoff, sorted by (weight, normal form)."""
+    """All traces of weight <= cutoff, sorted by (weight, normal form).
+
+    Block sequences grow level by level in integer weight, so only the
+    traces of one weight level are sorted, by their serialized form.
+    """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    out = [graph.identity()]
+    top = math.floor(cutoff * graph.scale)
     cliques = _cliques(graph)
     weights = [_block_weight(graph, b) for b in cliques]
+    sizes = [b.bit_count() for b in cliques]
+    names = [".".join(_letters(graph, b)) for b in cliques]
     succ = _successors(graph, cliques)
-    stack = [
-        ((i,), weights[i]) for i in range(len(cliques)) if weights[i] <= cutoff
-    ]
-    while stack:
-        blocks, weight = stack.pop()
-        frozen = tuple(cliques[i] for i in blocks)
-        length = sum(len(b) for b in frozen)
-        out.append(Trace(graph, frozen, weight, length))
-        for j in succ[blocks[-1]]:
-            w = weight + weights[j]
-            if w <= cutoff:
-                stack.append((blocks + (j,), w))
-    out.sort(key=Trace.sort_key)
+    # levels[w]: (serialized form, masks, last clique, length) at scaled weight w
+    levels = [[] for _ in range(top + 1)]
+    for i, w in enumerate(weights):
+        if w <= top:
+            levels[w].append((names[i], (cliques[i],), i, sizes[i]))
+    out = [graph.identity()]
+    for w in range(1, top + 1):
+        level = levels[w]
+        levels[w] = None
+        level.sort(key=itemgetter(0))
+        for name, masks, last, length in level:
+            out.append(Trace(graph, masks, w, length))
+            for j in succ[last]:
+                w2 = w + weights[j]
+                if w2 <= top:
+                    levels[w2].append(
+                        (f"{name}|{names[j]}", masks + (cliques[j],), j, length + sizes[j])
+                    )
     return out
 
 
@@ -258,7 +260,7 @@ def growth_table(graph, cutoff):
     d = graph.scale
     top = int(cutoff * d)  # floor
     cliques = _cliques(graph)
-    weights = [int(_block_weight(graph, b) * d) for b in cliques]
+    weights = [_block_weight(graph, b) for b in cliques]
     succ = _successors(graph, cliques)
     counts = [0] * (top + 1)
     counts[0] = 1
@@ -282,8 +284,8 @@ def clique_polynomial(graph):
     """Alternating clique sum: coefficient (-1)^|F| at exponent w(F)."""
     terms = {}
     for block in _cliques(graph, include_empty=True):
-        e = _block_weight(graph, block)
-        terms[e] = terms.get(e, 0) + (-1) ** len(block)
+        e = Fraction(_block_weight(graph, block), graph.scale)
+        terms[e] = terms.get(e, 0) + (-1) ** block.bit_count()
     return WeightedPolynomial(terms)
 
 

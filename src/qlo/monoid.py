@@ -6,8 +6,16 @@ commute exactly when they are joined by an edge (the free and free-abelian
 monoids are the edgeless and complete special cases).  Elements are kept in
 Foata normal form: a sequence of blocks, each block a clique of the graph,
 where every letter of a block depends on some letter of the preceding block.
-Equality, left divisibility, least common upper bounds and Wick reordering
-are all decided with exact arithmetic; weights are never floats.
+
+This module alone decides how that form is stored.  Generator i is bit
+``1 << i`` and a block is the int mask of its letters; each generator has
+the mask of the letters it depends on, itself included, so a letter falls
+onto a stack of blocks until the first block that meets its mask.  Weights
+are ints on the lattice (1/scale)*Z, with scale the lcm of the weight
+denominators.  The letter forms of a trace (``key``, ``blocks``) and its
+``Fraction`` weight are derived on first use.  Equality, left divisibility,
+least common upper bounds and Wick reordering are all decided exactly;
+weights are never floats.
 """
 
 from __future__ import annotations
@@ -80,8 +88,9 @@ class IndependenceGraph:
         "weights",
         "edges",
         "_index",
-        "_adj",
-        "_block_cache",
+        "_dep",
+        "_w",
+        "_scale",
         "_identity",
         "_hash",
     )
@@ -108,7 +117,7 @@ class IndependenceGraph:
         else:
             table = {s: _as_weight(weights, s) for s in gens}
 
-        adj = {s: set() for s in gens}
+        dep = [(1 << len(gens)) - 1] * len(gens)
         edge_set = set()
         for pair in edges:
             a, b = tuple(pair)
@@ -118,15 +127,17 @@ class IndependenceGraph:
             if a == b:
                 raise GraphError(f"self-loop at {a!r}")
             edge_set.add(frozenset((a, b)))
-            adj[a].add(b)
-            adj[b].add(a)
+            dep[index[a]] &= ~(1 << index[b])
+            dep[index[b]] &= ~(1 << index[a])
 
+        scale = math.lcm(*(w.denominator for w in table.values()))
         self.generators = gens
         self.weights = table
         self.edges = frozenset(edge_set)
         self._index = index
-        self._adj = adj
-        self._block_cache = {}
+        self._dep = tuple(dep)
+        self._w = tuple(int(table[s] * scale) for s in gens)
+        self._scale = scale
         self._identity = None
         self._hash = None
 
@@ -136,7 +147,7 @@ class IndependenceGraph:
         return self.weights[s]
 
     def commutes(self, s, r):
-        return r in self._adj[s]
+        return not self._dep[self._index[s]] >> self._index[r] & 1
 
     def is_complete(self):
         n = len(self.generators)
@@ -145,7 +156,7 @@ class IndependenceGraph:
     @property
     def scale(self):
         """lcm of the weight denominators; weights live on (1/scale)*Z."""
-        return math.lcm(*(w.denominator for w in self.weights.values()))
+        return self._scale
 
     @property
     def min_weight(self):
@@ -155,7 +166,7 @@ class IndependenceGraph:
 
     def identity(self):
         if self._identity is None:
-            self._identity = Trace(self, (), Fraction(0), 0)
+            self._identity = Trace(self, (), 0, 0)
         return self._identity
 
     def trace(self, word):
@@ -163,15 +174,6 @@ class IndependenceGraph:
 
     def gen(self, s):
         return normalize(self, [s])
-
-    def intern_block(self, letters):
-        """Return a canonical frozenset for a block (heavily shared)."""
-        key = tuple(sorted(letters, key=self._index.__getitem__))
-        cached = self._block_cache.get(key)
-        if cached is None:
-            cached = (frozenset(key), key)
-            self._block_cache[key] = cached
-        return cached
 
     # -- equality --------------------------------------------------------
 
@@ -202,29 +204,46 @@ class IndependenceGraph:
 
 
 class Trace:
-    """Monoid element in Foata normal form; immutable."""
+    """Monoid element in Foata normal form; immutable.
 
-    __slots__ = ("graph", "blocks", "weight", "length", "key", "_hash")
+    ``_masks`` holds the Foata blocks as int masks and ``_w`` the weight in
+    units of 1/scale; ``key``, ``blocks`` and ``weight`` derive from them.
+    """
 
-    def __init__(self, graph, blocks, weight, length):
+    __slots__ = ("graph", "_masks", "length", "_w", "_weight", "_key")
+
+    def __init__(self, graph, masks, w, length):
         self.graph = graph
-        self.blocks = blocks
-        self.weight = weight
+        self._masks = masks
         self.length = length
-        self.key = tuple(graph.intern_block(b)[1] for b in blocks)
-        self._hash = hash(self.key)
+        self._w = w
+        self._weight = None
+        self._key = None
+
+    @property
+    def key(self):
+        """Foata blocks as tuples of letters, each in generator order."""
+        if self._key is None:
+            self._key = tuple(_letters(self.graph, m) for m in self._masks)
+        return self._key
+
+    @property
+    def blocks(self):
+        """Foata blocks as frozensets of letters."""
+        return tuple(frozenset(part) for part in self.key)
+
+    @property
+    def weight(self):
+        """Exact weight, a Fraction."""
+        if self._weight is None:
+            self._weight = Fraction(self._w, self.graph._scale)
+        return self._weight
 
     def is_identity(self):
-        return not self.blocks
-
-    def alphabet(self):
-        letters = set()
-        for b in self.blocks:
-            letters |= b
-        return letters
+        return not self._masks
 
     def serialize(self):
-        if not self.blocks:
+        if not self._masks:
             return "e"
         return "|".join(".".join(part) for part in self.key)
 
@@ -243,12 +262,12 @@ class Trace:
             return True
         if not isinstance(other, Trace):
             return NotImplemented
-        if self.key != other.key:
+        if self._masks != other._masks:
             return False
         return self.graph is other.graph or self.graph == other.graph
 
     def __hash__(self):
-        return self._hash
+        return hash(self._masks)
 
     def __repr__(self):
         return f"Trace({self.serialize()!r})"
@@ -259,49 +278,141 @@ def build_graph(generators, weights, edges=()):
     return IndependenceGraph(generators, weights, edges)
 
 
+# -- block masks ------------------------------------------------------------
+
+
+def _letters(graph, mask):
+    """Generators in a block mask, in generator order."""
+    gens = graph.generators
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(gens[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def _block_weight(graph, mask):
+    """Weight of a block mask in units of 1/scale."""
+    weights = graph._w
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _dependents(dep, mask):
+    """Mask of the letters that depend on some letter of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= dep[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _trace(graph, masks):
+    """Trace with the given Foata block masks."""
+    return Trace(
+        graph,
+        tuple(masks),
+        sum(_block_weight(graph, m) for m in masks),
+        sum(m.bit_count() for m in masks),
+    )
+
+
 # -- Foata normal form machinery ------------------------------------------
 
 
-def _insert_letter(graph, blocks, s):
-    """Heap-insert one letter into a mutable list of block sets."""
-    adj = graph._adj[s]
-    depth = 0
-    for i in range(len(blocks) - 1, -1, -1):
-        # a block with any letter dependent on s stops the fall
-        if not blocks[i] <= adj:
-            depth = i + 1
-            break
-    if depth == len(blocks):
-        blocks.append({s})
+def _insert(dep, blocks, bit):
+    """Drop one letter onto a list of block masks, in place."""
+    d = dep[bit.bit_length() - 1]
+    k = len(blocks)
+    while k and not blocks[k - 1] & d:
+        k -= 1
+    if k == len(blocks):
+        blocks.append(bit)
     else:
-        blocks[depth].add(s)
+        blocks[k] |= bit
 
 
-def _freeze(graph, blocks):
-    return tuple(graph.intern_block(b)[0] for b in blocks)
+def _product(dep, pm, qm):
+    """Block masks of p*q: q's letters fall onto p's blocks, block by block.
+
+    Once a block of q lands inside the top block, every later block of q
+    depends on the block before it and stacks on top unchanged.
+    """
+    if not pm:
+        return qm
+    blocks = list(pm)
+    for j, b in enumerate(qm):
+        m = b
+        while m:
+            low = m & -m
+            _insert(dep, blocks, low)
+            m ^= low
+        if not b & ~blocks[-1]:
+            return (*blocks, *qm[j + 1 :])
+    return tuple(blocks)
 
 
-def _from_block_sets(graph, blocks):
-    frozen = _freeze(graph, blocks)
-    weight = Fraction(0)
-    length = 0
-    for b in frozen:
-        length += len(b)
-        for s in b:
-            weight += graph.weights[s]
-    return Trace(graph, frozen, weight, length)
+def _remove_front(dep, blocks, head):
+    """Block masks with the minimal letters `head` taken off the front.
 
-
-def _remove_min(graph, blocks, s):
-    """Blocks of p with one front occurrence of s removed, renormalized."""
-    idx = graph._index.__getitem__
-    out = []
-    for r in sorted(blocks[0] - {s}, key=idx):
-        _insert_letter(graph, out, r)
+    `head` lies in the first block.  Its letters commute with each other, so
+    no dependency chain holds two of them and every other letter falls by at
+    most one block: it falls exactly when nothing that stays in the block
+    below depends on it.
+    """
+    stay = blocks[0] & ~head
+    out = [stay]
     for b in blocks[1:]:
-        for r in sorted(b, key=idx):
-            _insert_letter(graph, out, r)
+        fall = b
+        if stay:
+            m = b
+            while m:
+                low = m & -m
+                if dep[low.bit_length() - 1] & stay:
+                    fall ^= low
+                m ^= low
+        out[-1] |= fall
+        stay = b & ~fall
+        out.append(stay)
+    if not out[-1]:
+        out.pop()
     return out
+
+
+def _quotient(dep, pm, xm):
+    """Block masks of p\\x, or None when p does not divide x on the left."""
+    rest = xm
+    for b in pm:
+        if not rest or b & ~rest[0]:
+            return None
+        rest = _remove_front(dep, rest, b)
+    return rest
+
+
+def _join_rest(dep, pm, qm):
+    """Block masks of q' with join(p, q) = p*q', or None if there is no join.
+
+    The blocks of p are consumed front to back.  Letters minimal in what is
+    left of q come off its front; every other letter must commute with all
+    of what is left of q, or no common upper bound exists.
+    """
+    rest = qm
+    for b in pm:
+        head = b & rest[0] if rest else 0
+        if head:
+            rest = _remove_front(dep, rest, head)
+        if b != head:
+            reach = _dependents(dep, b & ~head)
+            for c in rest:
+                if c & reach:
+                    return None
+    return rest
 
 
 def _check_same_graph(p, q):
@@ -314,115 +425,70 @@ def _check_same_graph(p, q):
 
 def normalize(graph, word):
     """Foata normal form of a word; constant on commutation classes."""
-    letters = list(word)
+    index = graph._index
+    dep = graph._dep
+    weights = graph._w
     blocks = []
-    weight = Fraction(0)
-    for s in letters:
-        if s not in graph._index:
+    total = length = 0
+    for s in word:
+        i = index.get(s)
+        if i is None:
             raise GraphError(f"unknown generator {s!r}")
-        _insert_letter(graph, blocks, s)
-        weight += graph.weights[s]
-    return Trace(graph, _freeze(graph, blocks), weight, len(letters))
+        _insert(dep, blocks, 1 << i)
+        total += weights[i]
+        length += 1
+    return Trace(graph, tuple(blocks), total, length)
 
 
 def multiply(p, q):
     """Normal form of the concatenation pq; weight and length add."""
     _check_same_graph(p, q)
-    if not p.blocks:
+    if not p._masks:
         return q
-    if not q.blocks:
+    if not q._masks:
         return p
-    graph = p.graph
-    idx = graph._index.__getitem__
-    blocks = [set(b) for b in p.blocks]
-    for b in q.blocks:
-        for s in sorted(b, key=idx):
-            _insert_letter(graph, blocks, s)
-    return Trace(graph, _freeze(graph, blocks), p.weight + q.weight, p.length + q.length)
+    return Trace(
+        p.graph,
+        _product(p.graph._dep, p._masks, q._masks),
+        p._w + q._w,
+        p.length + q.length,
+    )
 
 
 def min_letters(p):
     """Generators dividing p on the left; this is the first Foata block."""
-    return set(p.blocks[0]) if p.blocks else set()
+    return set(_letters(p.graph, p._masks[0])) if p._masks else set()
 
 
 def divides(p, x):
     """True iff x = p*p' for some p' (left divisibility)."""
     _check_same_graph(p, x)
-    if not p.blocks:
-        return True
-    if p.weight > x.weight or p.length > x.length:
+    if p._w > x._w or p.length > x.length:
         return False
-    graph = p.graph
-    idx = graph._index.__getitem__
-    pb = [set(b) for b in p.blocks]
-    xb = [set(b) for b in x.blocks]
-    while pb:
-        if len(pb) == 1:
-            # a single block divides iff all its letters are minimal in x
-            return bool(xb) and pb[0] <= xb[0]
-        s = min(pb[0], key=idx)
-        if not xb or s not in xb[0]:
-            return False
-        pb = _remove_min(graph, pb, s)
-        xb = _remove_min(graph, xb, s)
-    return True
+    return _quotient(p.graph._dep, p._masks, x._masks) is not None
 
 
 def left_quotient(p, x):
     """The unique p' with p*p' = x; raises NotADivisorError otherwise."""
     _check_same_graph(p, x)
-    graph = p.graph
-    idx = graph._index.__getitem__
-    pb = [set(b) for b in p.blocks]
-    xb = [set(b) for b in x.blocks]
-    while pb:
-        s = min(pb[0], key=idx)
-        if not xb or s not in xb[0]:
-            raise NotADivisorError(
-                f"{p.serialize()} does not divide {x.serialize()}"
-            )
-        pb = _remove_min(graph, pb, s)
-        xb = _remove_min(graph, xb, s)
-    return _from_block_sets(graph, xb)
+    rest = _quotient(p.graph._dep, p._masks, x._masks)
+    if rest is None:
+        raise NotADivisorError(f"{p.serialize()} does not divide {x.serialize()}")
+    return Trace(p.graph, tuple(rest), x._w - p._w, x.length - p.length)
 
 
 def join(p, q):
     """Least common upper bound of p and q, or INFINITY if none exists.
 
-    Recursion on minimal letters s of p: consume s from p and from the front
-    of q when possible; when s does not occur in q it must commute with all
-    of q, otherwise no common upper bound exists.
+    join(p, q) = p*q' where q' is what is left of q once the letters of p
+    are consumed from its front; a letter of p that is not minimal in the
+    rest of q must commute with all of it, otherwise no upper bound exists.
     """
     _check_same_graph(p, q)
-    if not p.blocks:
-        return q
-    if not q.blocks:
-        return p
-    graph = p.graph
-    idx = graph._index.__getitem__
-    adj = graph._adj
-    pb = [set(b) for b in p.blocks]
-    qb = [set(b) for b in q.blocks]
-    consumed = []
-    while pb:
-        s = min(pb[0], key=idx)
-        pb = _remove_min(graph, pb, s)
-        consumed.append(s)
-        if qb and s in qb[0]:
-            qb = _remove_min(graph, qb, s)
-            continue
-        neighbours = adj[s]
-        for b in qb:
-            if s in b or not b <= neighbours:
-                return INFINITY
-    blocks = []
-    for s in consumed:
-        _insert_letter(graph, blocks, s)
-    for b in qb:
-        for s in sorted(b, key=idx):
-            _insert_letter(graph, blocks, s)
-    return _from_block_sets(graph, blocks)
+    rest = _join_rest(p.graph._dep, p._masks, q._masks)
+    if rest is None:
+        return INFINITY
+    return multiply(p, _trace(p.graph, rest))
 
 
 def wick(p, q):
@@ -430,7 +496,10 @@ def wick(p, q):
 
     Returns None when join(p, q) = INFINITY (the product collapses to zero).
     """
-    bound = join(p, q)
-    if bound is INFINITY:
+    _check_same_graph(p, q)
+    dep = p.graph._dep
+    a = _join_rest(dep, p._masks, q._masks)
+    if a is None:
         return None
-    return left_quotient(p, bound), left_quotient(q, bound)
+    b = _join_rest(dep, q._masks, p._masks)
+    return _trace(p.graph, a), _trace(q.graph, b)

@@ -260,18 +260,84 @@ def partition_function(ctx, beta, method="closed", cutoff=None):
 
 
 def tail_mass(ctx, beta, cutoff, up_to=None):
-    """Exact-formula bound on the growth-series mass above a weight level.
+    """Rigorous upper bound on the growth-series mass above a weight level.
 
-    tail(beta, V) = Z_closed(beta) - sum_{w <= V} a_w exp(-beta w), the
-    weight mass strictly above V; requires beta > beta_c.  The table is
-    computed at `cutoff`; V (default cutoff) must not exceed it.
+    tail(beta, V) = Z(beta) - sum_{w <= V} a_w exp(-beta w), the weight mass
+    strictly above V; requires beta > beta_c.  In x = exp(-beta/scale), with
+    Q the clique polynomial and P_V the growth series cut at V, the tail is
+    R(x)/Q(x) where R = 1 - Q*P_V has integer coefficients, all in degrees
+    M+1 .. M+deg Q for M = floor(V*scale).  So nothing cancels against Z:
+    x is bracketed by rationals, R and Q are bounded on the bracket exactly,
+    and the result is rounded up, never below the exact tail.  The table is
+    computed at `cutoff`; V defaults to it.
     """
+    if beta <= ctx.beta_c:
+        raise ComputationError(
+            f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}"
+        )
     bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
-    if bound < 0:
-        return partition_function(ctx, beta, "closed")
-    closed = partition_function(ctx, beta, "closed")
-    truncated = ctx.growth(cutoff).truncated_sum(beta, up_to=bound)
-    return max(closed - truncated, 0.0)
+    q = ctx._coeffs
+    d = ctx.clique_poly.scale
+    deg = len(q) - 1
+    top = max(math.floor(bound * d), -1)
+    a = dict.fromkeys(range(max(top - deg + 1, 0), top + 1), 0)
+    for w, n in ctx.growth(max(Fraction(cutoff), bound)).rows:
+        i = w.numerator * (d // w.denominator)
+        if i in a:
+            a[i] = n
+    # R(x) = x**(top+1) * S(x); S holds the coefficients of R from degree top+1
+    s = [
+        int(m == 0) - sum(q[k] * a[m - k] for k in range(m - top, min(deg, m) + 1))
+        for m in range(top + 1, top + deg + 1)
+    ]
+    lo, hi = _exp_bracket(-beta / d)
+    s_num, s_den = _poly_upper(s, lo, hi)
+    q_num, q_den = _poly_upper([-c for c in q], lo, hi)  # -(a lower bound of Q)
+    if q_num >= 0:
+        raise ComputationError(
+            "clique polynomial not certified positive here; beta is too "
+            "close to beta_c"
+        )
+    num = hi[0] ** (top + 1) * s_num * q_den
+    den = hi[1] ** (top + 1) * s_den * -q_num
+    value = num / den
+    value_num, value_den = value.as_integer_ratio()
+    if value_num * den < num * value_den:
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+def _exp_bracket(y):
+    """Integer ratios (n, d) below and above exp(y), for a float y <= 0.
+
+    They lie within a slack of math.exp(y) that covers the rounding of y
+    itself (relative 2**-53, so about |y| * 2**-53 in exp(y)) and of
+    math.exp (under one unit in the last place) eight times over.
+    """
+    x = math.exp(y)
+    if x < 2.0**-1000:  # exp may have underflowed; 0 <= exp(y) < 2**-1000
+        return (0, 1), (1, 2**1000)
+    slack = 2 + math.ceil(-y)  # in units of 2**-50
+    n, d = x.as_integer_ratio()
+    return (n * (2**50 - slack), d * 2**50), (n * (2**50 + slack), d * 2**50)
+
+
+def _poly_upper(coeffs, lo, hi):
+    """Upper bound (num, den) of an integer polynomial on [lo, hi], lo >= 0.
+
+    Terms with positive coefficients are largest at hi and negative ones at
+    lo; both ends are integer ratios, so the bound is exact over their
+    common denominator.
+    """
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    deg = len(coeffs) - 1
+    num = 0
+    for j, c in enumerate(coeffs):
+        if c > 0:
+            num += c * hi_n**j * hi_d ** (deg - j) * lo_d**deg
+        elif c < 0:
+            num += c * lo_n**j * lo_d ** (deg - j) * hi_d**deg
+    return num, lo_d**deg * hi_d**deg
 
 
 def gibbs_value(p, q):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -257,3 +259,22 @@ def test_qlo_threads_validation(capsys, monkeypatch):
     monkeypatch.setenv("QLO_THREADS", "2")
     code, out, _ = run_cli(capsys, "beta-c", "--preset", "free:2")
     assert code == 0
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "qlo.cli", "growth", "--preset", "path:3"]
+
+    def run(*extra):
+        return subprocess.run(
+            command + list(extra), env=env, capture_output=True, text=True, timeout=120
+        )
+
+    done = run("--cutoff", "3")
+    assert done.returncode == cli.EXIT_OK
+    assert done.stdout.splitlines() == [
+        "lambda_num,lambda_den,a_n", "0,1,1", "1,1,3", "2,1,7", "3,1,15",
+    ]
+    assert run().returncode == cli.EXIT_USAGE  # --cutoff is required

@@ -14,6 +14,7 @@ from qlo import (
     NotADivisorError,
     build_graph,
     divides,
+    enumerate_up_to,
     join,
     left_quotient,
     min_letters,
@@ -304,3 +305,18 @@ def test_weight_and_length_caches_consistent():
     t = normalize(g, "abab")
     assert t.weight == Fraction(5)
     assert t.length == 4
+
+
+def test_generators_out_of_alphabetical_order():
+    # block letters, serialization and enumeration follow the graph's
+    # generator order, not the alphabet
+    g = build_graph("cba", 1, [("a", "b")])
+    ab = normalize(g, "ab")
+    assert ab.key == (("b", "a"),)
+    assert ab.serialize() == "b.a"
+    assert " ".join(t.serialize() for t in enumerate_up_to(g, 2)) == (
+        "e a b c a|a a|c b.a b|b b|c c|a c|b c|c"
+    )
+    twin = normalize(build_graph("cba", 1, [("a", "b")]), "ba")
+    assert twin == ab and hash(twin) == hash(ab)
+    assert multiply(ab, twin).serialize() == "b.a|b.a"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,20 @@ def test_truncation_gap_equals_exact_tail():
         n * math.exp(-beta * float(w)) for w, n in table.rows if 4 < w <= 12
     )
     assert abs((gaps[0] - gaps[2]) - band) <= 1e-12
+
+
+def test_tail_mass_bounds_the_exact_tail_far_out():
+    # path:3 has 2^(n+1) - 1 traces of weight n, so the mass above V is
+    # 2(2t)^(V+1)/(1 - 2t) - t^(V+1)/(1 - t) at t = exp(-beta); a float
+    # difference Z_closed - Z_V loses it entirely at these points
+    ctx = ThermoContext(make_path3())
+    for beta, cutoff in ((6.0, 10), (3.0, 20)):
+        with localcontext() as dec:
+            dec.prec = 50
+            t = Decimal(-beta).exp()
+            exact = 2 * (2 * t) ** (cutoff + 1) / (1 - 2 * t) - t ** (cutoff + 1) / (1 - t)
+            got = Decimal(tail_mass(ctx, beta, cutoff))
+            assert exact <= got <= exact * (1 + Decimal("1e-9")), (beta, cutoff, got, exact)
 
 
 def test_partition_consistency_with_enumeration():
