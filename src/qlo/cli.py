@@ -277,8 +277,7 @@ def _cmd_gibbs(args):
         raise ComputationError(
             f"--beta must exceed beta_c = {_fmt(ctx.beta_c)}"
         )
-    rep = fock.build_rep(graph, cutoff)
-    rep._thermo = ctx
+    rep = fock.build_rep(graph, cutoff, thermo=ctx)
     vacuum = fock.vacuum_projection(rep)
     z_closed = thermo.partition_function(ctx, beta)
     z_trunc = thermo.partition_function(ctx, beta, "truncated", cutoff=cutoff)

@@ -1,20 +1,23 @@
 """Truncated left regular representation and operator-identity checks.
 
-The basis is every monoid element of weight at most a cutoff W; operators are
-sparse (dict-of-entries) and never materialized densely.  Left translations
-are truncated by sending out-of-range targets to zero, and adjoints are the
-combinatorial backward maps, so all the diagonal projection identities
-(range projections, their meets, the vacuum projection) hold exactly at every
-finite W with integer arithmetic.  Floating point enters only through the
-density exp(-beta*H) and the Gibbs/twisted-trace numerics, whose truncation
-error is controlled by an exact tail bound.
+The basis is every monoid element of weight at most a cutoff W.  Inside, a
+left translation L_p is a cached column -> row partial map (the row of p*x
+for each column x whose product stays in the basis): composition is
+indexing, L L^* is the diagonal of preimage counts and a range projection
+is an image set, so the projection identities hold exactly in integers at
+every finite W.  ``SparseOperator``
+(dict-of-entries, never dense) is the public type and, through its matmul,
+the independent oracle for those maps.  Floating point enters only through
+the density exp(-beta*H) and the Gibbs/twisted-trace numerics, whose
+truncation error is controlled by an exact tail bound.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,7 +25,7 @@ from functools import cached_property
 from .growth import _cliques, enumerate_up_to
 # multiply is no longer called here; bench/tests checks that tracing it
 # through qlo.fock leaves it restored, so the name stays importable
-from .monoid import INFINITY, MismatchedGraphError, divides, join, multiply  # noqa: F401
+from .monoid import INFINITY, MismatchedGraphError, join, multiply  # noqa: F401
 from .monoid import _check_same_graph, _letters, _product
 from .thermo import ComputationError, ThermoContext, tail_mass
 
@@ -62,10 +65,6 @@ class SparseOperator:
                 cleaned[(r, c)] = v
         self.dim = dim
         self.entries = cleaned
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, {})
 
     @classmethod
     def identity(cls, dim):
@@ -140,7 +139,7 @@ class SparseOperator:
 class TruncatedRep:
     """Ordered weight-<=W basis of the monoid with an index lookup."""
 
-    def __init__(self, graph, cutoff, basis):
+    def __init__(self, graph, cutoff, basis, thermo=None):
         self.graph = graph
         self.cutoff = Fraction(cutoff)
         self.basis = basis
@@ -149,10 +148,9 @@ class TruncatedRep:
         # scaled weights, ascending because the basis is sorted by weight
         self._weights = [x._w for x in basis]
         self._top = math.floor(self.cutoff * graph.scale)
-        self._range_cache = {}
-        self._left_cache = {}
+        self._left_cache = {}  # p's block masks -> column -> row partial map
         self._density_cache = {}
-        self._thermo = None
+        self._thermo = thermo
 
     @cached_property
     def index(self):
@@ -171,99 +169,78 @@ class TruncatedRep:
         return f"TruncatedRep(cutoff={self.cutoff}, dim={self.dim})"
 
 
-def build_rep(graph, cutoff):
-    """Basis of all traces of weight <= cutoff, deterministically ordered."""
-    basis = enumerate_up_to(graph, cutoff)
-    return TruncatedRep(graph, Fraction(cutoff), basis)
+def build_rep(graph, cutoff, thermo=None):
+    """Weight-<=cutoff basis, deterministically ordered; rep.thermo() returns
+    ``thermo`` when one is passed in."""
+    if thermo is not None and thermo.graph != graph:
+        raise MismatchedGraphError("thermo context lives over another graph")
+    return TruncatedRep(graph, Fraction(cutoff), enumerate_up_to(graph, cutoff), thermo)
 
 
-def left_op(rep, p):
-    """Truncated left translation by p: basis vector at x goes to p*x.
+def _left_map(rep, p):
+    """Column -> row partial map of L_p: the row of p*x for each column x
+    of the basis prefix w(x) <= W - w(p); L_p drops every later column.
 
-    The basis holds every trace of weight <= W, sorted by weight, so p*x is
-    a basis vector exactly when w(x) <= W - w(p) and is dropped otherwise.
-    Only that prefix of the basis, found by bisection on the scaled
-    weights, is multiplied, on block masks and without building traces.
+    The basis is sorted by weight, so bisection finds that prefix, and only
+    its products are formed, on block masks.
     """
     _check_rep_graph(rep, p)
     cached = rep._left_cache.get(p._masks)
     if cached is None:
         end = bisect_right(rep._weights, rep._top - p._w)
         dep, pm, row = rep.graph._dep, p._masks, rep._row
-        cached = SparseOperator(
-            rep.dim,
-            {
-                (row[_product(dep, pm, x._masks)], col): 1
-                for col, x in enumerate(rep.basis[:end])
-            },
-        )
+        cached = [row[_product(dep, pm, x._masks)] for x in rep.basis[:end]]
         rep._left_cache[p._masks] = cached
     return cached
 
 
-def range_projection(rep, p):
-    """Diagonal 0/1 projection onto the left multiples of p (exact at any W).
+def left_op(rep, p):
+    """Truncated left translation by p: basis vector at x goes to p*x."""
+    m = _left_map(rep, p)
+    return SparseOperator(rep.dim, {(r, c): 1 for c, r in enumerate(m)})
 
-    Only basis elements at least as heavy as p, a suffix of the basis, are
-    tested for divisibility.
-    """
-    _check_rep_graph(rep, p)
-    cached = rep._range_cache.get(p._masks)
-    if cached is None:
-        start = bisect_left(rep._weights, p._w)
-        cached = SparseOperator(
-            rep.dim,
-            {
-                (i, i): 1
-                for i, x in enumerate(rep.basis[start:], start)
-                if divides(p, x)
-            },
-        )
-        rep._range_cache[p._masks] = cached
-    return cached
+
+def range_projection(rep, p):
+    """Diagonal 0/1 projection onto the left multiples of p: the image of L_p."""
+    return SparseOperator(rep.dim, {(r, r): 1 for r in _left_map(rep, p)})
 
 
 def nica_check(rep, p, q):
     """Meet of range projections equals the join's range projection, exactly."""
-    _check_rep_graph(rep, p)
-    _check_rep_graph(rep, q)
-    lhs = range_projection(rep, p) @ range_projection(rep, q)
+    meet = set(_left_map(rep, p)).intersection(_left_map(rep, q))
     bound = join(p, q)
-    if bound is INFINITY:
-        rhs = SparseOperator.zero(rep.dim)
-    else:
-        rhs = range_projection(rep, bound)
-    return lhs == rhs
+    return meet == (set() if bound is INFINITY else set(_left_map(rep, bound)))
 
 
 def vacuum_projection(rep):
     """Rank-one projection onto the identity basis vector.
 
     Built both as the product of the generator complements and as the
-    alternating clique sum; the two must agree entrywise in integers.
+    alternating clique sum.  Each L L^* is diagonal, holding the number of
+    columns its partial map sends to each row, so both forms are integer
+    vectors that must agree entrywise.
     """
     graph = rep.graph
-    ident = SparseOperator.identity(rep.dim)
-    product = ident
+    product = [1] * rep.dim
     for s in graph.generators:
-        ell = left_op(rep, graph.gen(s))
-        product = product @ (ident - ell @ ell.adjoint())
-
-    alternating = SparseOperator.zero(rep.dim)
+        for r, k in Counter(_left_map(rep, graph.gen(s))).items():
+            product[r] *= 1 - k
+    alternating = [0] * rep.dim
     for block in _cliques(graph, include_empty=True):
-        ell = left_op(rep, graph.trace(_letters(graph, block)))
-        alternating = alternating + (-1) ** block.bit_count() * (ell @ ell.adjoint())
+        sign = (-1) ** block.bit_count()
+        ell = _left_map(rep, graph.trace(_letters(graph, block)))
+        for r, k in Counter(ell).items():
+            alternating[r] += sign * k
 
     if product != alternating:
         raise OperatorIdentityError(
             "vacuum projection: product form and clique sum disagree"
         )
-    expected = SparseOperator(rep.dim, {(0, 0): 1})
-    if product != expected:
+    if product != [1] + [0] * (rep.dim - 1):
         raise OperatorIdentityError(
             "vacuum projection is not the rank-one projection at the identity"
         )
-    return product
+    return SparseOperator(rep.dim, {(0, 0): 1})
 
 
 def density(rep, beta):
@@ -342,15 +319,14 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
         raise ComputationError(
             f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}"
         )
-    a_op = left_op(rep, p1) @ left_op(rep, q1).adjoint()
-    b_op = left_op(rep, p2) @ left_op(rep, q2).adjoint()
-    psi_ab = gibbs_numeric(rep, a_op @ b_op, beta)
-    psi_ba = gibbs_numeric(rep, b_op @ a_op, beta)
+    a_map, b_map = _monomial_map(rep, p1, q1), _monomial_map(rep, p2, q2)
+    weights = _density_values(rep, beta)
+    z_trunc = sum(weights)
+    psi_ab = _fixed_point_mass(a_map, b_map, weights) / z_trunc
+    psi_ba = _fixed_point_mass(b_map, a_map, weights) / z_trunc
     twist = math.exp(-beta * float(p1.weight - q1.weight))
     residual = abs(psi_ab - twist * psi_ba)
 
-    weights = _density_values(rep, beta)
-    z_trunc = sum(weights)
     gain_b = max(p2.weight - q2.weight, Fraction(0))
     gain_a = max(p1.weight - q1.weight, Fraction(0))
     bound = (
@@ -365,6 +341,23 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
         twist=twist,
         beta=beta,
         cutoff=rep.cutoff,
+    )
+
+
+def _monomial_map(rep, p, q):
+    """L_p L_q^* as a partial map q*y -> p*y, -1 elsewhere; left translations
+    are injective (the monoid is left cancellative), so L_q^* inverts L_q."""
+    out = [-1] * rep.dim
+    for r, t in zip(_left_map(rep, q), _left_map(rep, p)):
+        out[r] = t
+    return out
+
+
+def _fixed_point_mass(outer, inner, weights):
+    """Tr(outer o inner o rho) for 0/1 partial maps: the sum of weights[x]
+    over the x with outer[inner[x]] == x."""
+    return sum(
+        w for x, (r, w) in enumerate(zip(inner, weights)) if r >= 0 and outer[r] == x
     )
 
 

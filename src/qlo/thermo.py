@@ -48,11 +48,10 @@ class InsufficientDataError(ComputationError):
 
 @dataclass(frozen=True)
 class StateValue:
-    """Symbolic state value: exp(-beta * exponent), exact zero, or a float."""
+    """Symbolic state value: exp(-beta * exponent), or exact zero."""
 
-    kind: str  # "exact" | "zero" | "numeric"
+    kind: str  # "exact" | "zero"
     exponent: Fraction | None = None
-    number: float | None = None
 
     @classmethod
     def exact(cls, exponent):
@@ -62,28 +61,13 @@ class StateValue:
     def zero(cls):
         return cls("zero")
 
-    @classmethod
-    def numeric(cls, number):
-        return cls("numeric", number=float(number))
-
     def is_zero(self):
         return self.kind == "zero"
 
     def value_at(self, beta):
         if self.kind == "zero":
             return 0.0
-        if self.kind == "exact":
-            return math.exp(-beta * float(self.exponent))
-        return self.number
-
-    def __mul__(self, other):
-        if not isinstance(other, StateValue):
-            return NotImplemented
-        if self.kind == "zero" or other.kind == "zero":
-            return StateValue.zero()
-        if self.kind == "exact" and other.kind == "exact":
-            return StateValue.exact(self.exponent + other.exponent)
-        raise ValueError("mixed symbolic/numeric product is not defined")
+        return math.exp(-beta * float(self.exponent))
 
 
 class ThermoContext:

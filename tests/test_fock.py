@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+import qlo.fock
 from qlo import (
     ComputationError,
     MismatchedGraphError,
+    OperatorIdentityError,
     SparseOperator,
     ThermoContext,
     build_rep,
@@ -33,7 +35,9 @@ from qlo import (
     vacuum_projection,
 )
 from conftest import (
+    divides_by_word_search,
     make_abelian2,
+    make_cycle5,
     make_free2,
     make_free3,
     make_path3,
@@ -89,6 +93,15 @@ def test_build_rep_dimensions():
     assert build_rep(make_free2(), 2).dim == 7
     assert build_rep(make_path3(), 2).dim == 11
     assert build_rep(make_free3(), 0).dim == 1
+
+
+def test_build_rep_takes_a_thermo_context():
+    g = make_path3()
+    ctx = ThermoContext(g)
+    assert build_rep(g, 2, thermo=ctx).thermo() is ctx
+    assert build_rep(g, 2).thermo() is not ctx
+    with pytest.raises(MismatchedGraphError):
+        build_rep(make_free2(), 2, thermo=ctx)
 
 
 def test_basis_starts_at_identity_and_is_downward_closed():
@@ -171,6 +184,26 @@ def test_range_projection_examples():
     assert range_projection(rep, heavy).is_zero()
 
 
+def test_range_projection_matches_word_search_oracle():
+    cases = [
+        (make_free2(), 5),
+        (make_path3(), 4),
+        (make_cycle5(), 3),
+        (random_graph(4, seed=7), 4),
+        (random_graph(5, seed=23), 3),
+    ]
+    for g, cutoff in cases:
+        rep = build_rep(g, cutoff)
+        for p in enumerate_up_to(g, 2):
+            marked = {
+                i
+                for i, x in enumerate(rep.basis)
+                if divides_by_word_search(g, p, x)
+            }
+            want = SparseOperator(rep.dim, {(i, i): 1 for i in marked})
+            assert range_projection(rep, p) == want, (g, p)
+
+
 def test_left_op_times_adjoint_is_range_projection():
     for make in (make_free2, make_abelian2, make_path3):
         g = make()
@@ -209,6 +242,21 @@ def test_vacuum_projection_all_graphs():
             rep = build_rep(g, cutoff)
             vac = vacuum_projection(rep)
             assert vac == SparseOperator(rep.dim, {(0, 0): 1})
+
+
+def test_vacuum_projection_catches_a_missing_clique(monkeypatch):
+    real_cliques = qlo.fock._cliques
+    for make in (make_abelian2, make_path3):
+        for dropped in range(4):
+            def cliques_but_one(graph, include_empty=False):
+                out = list(real_cliques(graph, include_empty=include_empty))
+                del out[dropped]
+                return out
+
+            monkeypatch.setattr(qlo.fock, "_cliques", cliques_but_one)
+            with pytest.raises(OperatorIdentityError):
+                vacuum_projection(build_rep(make(), 3))
+            monkeypatch.undo()
 
 
 # -- density, unitaries, Gibbs numerics ----------------------------------------------
@@ -343,6 +391,31 @@ def test_kms_numeric_bound_decreases_with_cutoff():
         assert report.ok
         bounds.append(report.bound)
     assert bounds[0] > bounds[1] > bounds[2]
+
+
+def test_kms_numeric_matches_sparse_operator_products():
+    for g, cutoff in ((make_path3(), 7), (make_cycle5(), 4)):
+        rep = build_rep(g, cutoff)
+        beta = 1.5 * ThermoContext(g).beta_c
+        pool = [t for t in rep.basis if t.length <= 2]
+        rng = random.Random(41)
+        quads = [[rng.choice(pool) for _ in range(4)] for _ in range(15)]
+        # A = L_p L_q^*, B = L_q L_p^*: AB and BA have a nonzero diagonal
+        for _ in range(10):
+            p, q = rng.choice(pool), rng.choice(pool)
+            quads.append([p, q, q, p])
+        nonzero = 0
+        for p1, q1, p2, q2 in quads:
+            report = kms_numeric_check(rep, (p1, q1), (p2, q2), beta)
+            a = left_op(rep, p1) @ left_op(rep, q1).adjoint()
+            b = left_op(rep, p2) @ left_op(rep, q2).adjoint()
+            for got, op in ((report.psi_ab, a @ b), (report.psi_ba, b @ a)):
+                want = gibbs_numeric(rep, op, beta)
+                assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
+                nonzero += want != 0.0
+            if p1 == q2 and q1 == p2:
+                assert report.psi_ab > 0.0 and report.psi_ba > 0.0
+        assert nonzero >= 20
 
 
 def test_kms_numeric_requires_supercritical_beta():

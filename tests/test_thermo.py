@@ -243,9 +243,10 @@ def test_gibbs_value_rejects_mismatched_graphs():
 
 def test_state_value_algebra():
     x = StateValue.exact(Fraction(3, 2))
-    y = StateValue.exact(Fraction(1, 2))
-    assert x * y == StateValue.exact(2)
-    assert (x * StateValue.zero()).is_zero()
+    assert x == StateValue.exact(Fraction(6, 4)) and not x.is_zero()
+    assert x.value_at(2.0) == math.exp(-3.0)
+    assert StateValue.exact(0).value_at(7.0) == 1.0
+    assert StateValue.zero().is_zero()
     assert StateValue.zero().value_at(5.0) == 0.0
 
 
