@@ -10,33 +10,17 @@ significant digits.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fock, thermo
-from .growth import (
-    clique_polynomial,
-    enumerate_up_to,
-    growth_table,
-    invert_series,
-    is_lattice_ordered,
-    verify_inversion,
-)
-from .monoid import (
-    GraphError,
-    INFINITY,
-    build_graph,
-    divides,
-    join,
-    multiply,
-    wick,
-)
+from .growth import clique_polynomial, growth_table, invert_series
+from .monoid import GraphError, build_graph
 from .presets import preset_spec
 from .thermo import ComputationError, ThermoContext
 
@@ -270,7 +254,7 @@ def _cmd_invert(args):
 
 def _cmd_gibbs(args):
     graph = _graph_from_args(args)
-    beta = args.beta
+    beta = _finite(args.beta, "--beta")
     cutoff = _nonnegative(args.cutoff, "--cutoff")
     ctx = ThermoContext(graph)
     if beta <= ctx.beta_c:
@@ -303,7 +287,7 @@ def _cmd_gibbs(args):
 
 def _cmd_kms_check(args):
     graph = _graph_from_args(args)
-    beta = args.beta
+    beta = _finite(args.beta, "--beta")
     cutoff = _nonnegative(args.cutoff, "--cutoff")
     samples = args.samples
     if samples < 1:
@@ -317,48 +301,24 @@ def _cmd_kms_check(args):
     pool = [t for t in rep.basis if t.length <= 2]
     rng = random.Random(20_24)
     rows = []
-    failures = 0
-    for k in range(samples):
+    for _ in range(samples):
         p1, q1, p2, q2 = (rng.choice(pool) for _ in range(4))
         report = fock.kms_numeric_check(rep, (p1, q1), (p2, q2), beta)
-        rows.append((k, p1, q1, p2, q2, report))
-        if not report.ok:
-            failures += 1
-    csv_lines = ["sample,p1,q1,p2,q2,residual,bound,ok"]
-    for k, p1, q1, p2, q2, report in rows:
-        csv_lines.append(
-            ",".join(
-                [
-                    str(k),
-                    p1.serialize(),
-                    q1.serialize(),
-                    p2.serialize(),
-                    q2.serialize(),
-                    _fmt(report.residual),
-                    _fmt(report.bound),
-                    str(int(report.ok)),
-                ]
-            )
-        )
+        rows.append(([t.serialize() for t in (p1, q1, p2, q2)], report))
+    failures = sum(not r.ok for _, r in rows)
+    csv_lines = ["sample,p1,q1,p2,q2,residual,bound,ok"] + [
+        ",".join([str(k), *monomials, _fmt(r.residual), _fmt(r.bound), str(int(r.ok))])
+        for k, (monomials, r) in enumerate(rows)
+    ]
     json_obj = {
         "beta": beta,
         "cutoff": float(cutoff),
         "samples": samples,
         "failures": failures,
-        "max_residual": max(r.residual for *_, r in rows),
+        "max_residual": max(r.residual for _, r in rows),
         "results": [
-            {
-                "monomials": [
-                    p1.serialize(),
-                    q1.serialize(),
-                    p2.serialize(),
-                    q2.serialize(),
-                ],
-                "residual": report.residual,
-                "bound": report.bound,
-                "ok": report.ok,
-            }
-            for _, p1, q1, p2, q2, report in rows
+            {"monomials": monomials, "residual": r.residual, "bound": r.bound, "ok": r.ok}
+            for monomials, r in rows
         ],
     }
     _emit(args, csv_lines, json_obj)
@@ -376,9 +336,12 @@ def _cmd_limsup(args):
 
 
 def _cmd_verify(args):
+    # imported here so that importing the CLI compiles none of the suite
+    from .oracles import verification_suite
+
     graph = _graph_from_args(args)
     cutoff = _nonnegative(args.cutoff, "--cutoff")
-    checks = _verification_suite(graph, cutoff)
+    checks = verification_suite(graph, cutoff)
     failed = []
     for name, func in checks:
         try:
@@ -397,144 +360,6 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
-def _verification_suite(graph, cutoff):
-    """Deterministic cross-checks of every layer, sized by the cutoff."""
-    small = min(cutoff, Fraction(4))
-    rng = random.Random(97)
-
-    def enumeration_matches_dp():
-        elements = enumerate_up_to(graph, small)
-        table = growth_table(graph, small)
-        counts = {}
-        for t in elements:
-            counts[t.weight] = counts.get(t.weight, 0) + 1
-        return counts == table.counts()
-
-    def inversion_matches():
-        return verify_inversion(graph, cutoff).match
-
-    def join_brute_force():
-        pool = [t for t in enumerate_up_to(graph, small) if t.length <= 3]
-        pairs = list(itertools.product(pool, repeat=2))
-        if len(pairs) > 400:
-            pairs = rng.sample(pairs, 400)
-        candidates = sorted(enumerate_up_to(graph, small), key=lambda t: t.weight)
-        for p, q in pairs:
-            ubs = [
-                multiply(p, v)
-                for v in candidates
-                if v.weight <= q.weight and divides(q, multiply(p, v))
-            ]
-            j = join(p, q)
-            if j is INFINITY:
-                if ubs:
-                    return False
-            else:
-                least = min(ubs, key=lambda u: u.weight, default=None)
-                if least is None or least != j:
-                    return False
-                if not all(divides(j, u) for u in ubs):
-                    return False
-        return True
-
-    def translation_identity():
-        pool = enumerate_up_to(graph, Fraction(small, 1))
-        for _ in range(200):
-            z, p, q = (rng.choice(pool) for _ in range(3))
-            lhs = join(multiply(z, p), multiply(z, q))
-            rhs = join(p, q)
-            if rhs is INFINITY:
-                if lhs is not INFINITY:
-                    return False
-            elif lhs is INFINITY or lhs != multiply(z, rhs):
-                return False
-        return True
-
-    def wick_round_trip():
-        pool = enumerate_up_to(graph, small)
-        for _ in range(200):
-            p, q = rng.choice(pool), rng.choice(pool)
-            pieces = wick(p, q)
-            if pieces is None:
-                if join(p, q) is not INFINITY:
-                    return False
-                continue
-            a, b = pieces
-            if multiply(p, a) != multiply(q, b):
-                return False
-        return True
-
-    def beta_c_bound():
-        ctx = ThermoContext(graph)
-        return ctx.beta_c <= ctx.lemma_bound + 1e-10
-
-    def smallest_root_certified():
-        ctx = ThermoContext(graph)
-        if ctx.beta_c == 0.0:
-            return True
-        bound = ctx.certified_root_free_bound()
-        return math.exp(-ctx.beta_c) >= float(bound) * (1 - 1e-9)
-
-    def lattice_order_consistency():
-        ctx = ThermoContext(graph)
-        return (ctx.beta_c == 0.0) == is_lattice_ordered(graph)
-
-    def nica_exhaustive():
-        rep = fock.build_rep(graph, small)
-        pool = [t for t in enumerate_up_to(graph, small) if t.length <= 2]
-        return all(
-            fock.nica_check(rep, p, q)
-            for p, q in itertools.product(pool, repeat=2)
-        )
-
-    def vacuum_identity():
-        rep = fock.build_rep(graph, small)
-        try:
-            fock.vacuum_projection(rep)
-        except fock.OperatorIdentityError:
-            return False
-        return True
-
-    def kms_symbolic():
-        pool = [t for t in enumerate_up_to(graph, small) if t.length <= 2]
-        quads = list(itertools.product(pool, repeat=4))
-        if len(quads) > 20000:
-            quads = rng.sample(quads, 20000)
-        return all(
-            thermo.kms_identity_check(p1, q1, p2, q2).holds
-            for p1, q1, p2, q2 in quads
-        )
-
-    def gibbs_off_diagonal_zero():
-        rep = fock.build_rep(graph, small)
-        pool = [t for t in enumerate_up_to(graph, small) if t.length <= 2]
-        ctx = ThermoContext(graph)
-        beta = max(1.0, 1.5 * ctx.beta_c)
-        for _ in range(50):
-            p, q = rng.choice(pool), rng.choice(pool)
-            if p == q:
-                continue
-            op = fock.left_op(rep, p) @ fock.left_op(rep, q).adjoint()
-            if fock.gibbs_numeric(rep, op, beta) != 0.0:
-                return False
-        return True
-
-    return [
-        ("enumeration-matches-transfer-dp", enumeration_matches_dp),
-        ("clique-inversion-exact", inversion_matches),
-        ("join-equals-brute-force", join_brute_force),
-        ("join-translation-identity", translation_identity),
-        ("wick-round-trip", wick_round_trip),
-        ("beta-c-generator-bound", beta_c_bound),
-        ("smallest-root-certified", smallest_root_certified),
-        ("lattice-order-beta-c-zero", lattice_order_consistency),
-        ("nica-covariance-exhaustive", nica_exhaustive),
-        ("vacuum-projection-identity", vacuum_identity),
-        ("kms-identity-symbolic", kms_symbolic),
-        ("gibbs-off-diagonal-zero", gibbs_off_diagonal_zero),
-    ]
-
-
 # -- argument plumbing --------------------------------------------------------
 
 
@@ -543,15 +368,26 @@ def _frac_obj(f):
 
 
 def _nonnegative(raw, flag):
-    value = Fraction(raw)
+    try:
+        value = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(
+            f"{flag} must be a rational number like 10 or 21/2, got {raw!r}"
+        ) from None
     if value < 0:
         raise ConfigError(f"{flag} must be nonnegative")
     return value
 
 
+def _finite(value, flag):
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+    return value
+
+
 def _positive(value, flag):
-    if value <= 0:
-        raise ConfigError(f"{flag} must be positive")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
     return value
 
 

@@ -20,7 +20,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .growth import _cliques, enumerate_up_to
 # multiply is no longer called here; bench/tests checks that tracing it
@@ -151,11 +150,6 @@ class TruncatedRep:
         self._left_cache = {}  # p's block masks -> column -> row partial map
         self._density_cache = {}
         self._thermo = thermo
-
-    @cached_property
-    def index(self):
-        """Basis position of each trace, keyed by ``Trace.key``."""
-        return {x.key: i for i, x in enumerate(self.basis)}
 
     def index_of(self, trace):
         return self._row.get(trace._masks)
@@ -308,14 +302,14 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
     dA, dB are the weight gains of A and B, and is rigorous for beta above
     the critical value.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     p1, q1 = pair1
     p2, q2 = pair2
     for x in (p1, q1, p2, q2):
         _check_rep_graph(rep, x)
     ctx = rep.thermo()
-    if beta <= ctx.beta_c:
+    if not beta > ctx.beta_c:
         raise ComputationError(
             f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}"
         )

@@ -46,10 +46,6 @@ class WeightedPolynomial:
         self.scale = math.lcm(*(e.denominator for e in clean)) if clean else 1
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
     def one(cls):
         return cls({Fraction(0): 1})
 
@@ -157,9 +153,8 @@ class GrowthTable:
     def counts(self):
         return dict(self.rows)
 
-    def total(self, up_to=None):
-        bound = self.cutoff if up_to is None else Fraction(up_to)
-        return sum(n for w, n in self.rows if w <= bound)
+    def total(self):
+        return sum(n for _, n in self.rows)
 
     @property
     def max_weight(self):
@@ -168,9 +163,6 @@ class GrowthTable:
     def truncated_sum(self, beta):
         """Sum of n * exp(-beta*w) over all rows."""
         return sum(n * math.exp(-beta * float(w)) for w, n in self.rows)
-
-    def as_polynomial(self):
-        return WeightedPolynomial({w: n for w, n in self.rows})
 
     def __len__(self):
         return len(self.rows)

@@ -229,9 +229,6 @@ class IsolatedRoot:
     def exact(self):
         return self.lo == self.hi
 
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
 
 def roots_in_unit_interval(coeffs):
     """All real roots in (0, 1] with multiplicities, intervals disjoint.

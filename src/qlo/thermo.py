@@ -74,7 +74,7 @@ class ThermoContext:
     """Clique polynomial, certified smallest root and cached growth data."""
 
     def __init__(self, graph, tol=1e-12):
-        if tol <= 0:
+        if not tol > 0:
             raise ValueError("tol must be positive")
         self.graph = graph
         self.clique_poly = clique_polynomial(graph)
@@ -130,7 +130,7 @@ def beta_critical(ctx, tol):
     Returns exactly 0.0 when the smallest root is 1 (detected by integer
     evaluation), which happens precisely for complete graphs.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     root = ctx.smallest_root()
     if root is None:
@@ -178,7 +178,7 @@ def clique_roots_in_unit_interval(ctx, tol):
     the roots strictly between the smallest root and 1, the only inverse
     temperatures below the critical one admissible for equilibrium states.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     d = ctx.clique_poly.scale
     estimates = []
@@ -223,7 +223,7 @@ def partition_function(ctx, beta, method="closed", cutoff=None):
     sums the growth table up to the cutoff and works for any beta > 0.
     """
     if method == "closed":
-        if beta <= ctx.beta_c:
+        if not beta > ctx.beta_c:
             raise ComputationError(
                 f"closed form needs beta > beta_c = {ctx.beta_c:.12g}"
             )
@@ -237,7 +237,7 @@ def partition_function(ctx, beta, method="closed", cutoff=None):
     if method == "truncated":
         if cutoff is None:
             raise ValueError("truncated method requires a cutoff")
-        if beta <= 0:
+        if not beta > 0:
             raise ComputationError("truncated sum needs beta > 0")
         return ctx.growth(cutoff).truncated_sum(beta)
     raise ValueError(f"unknown method {method!r}")
@@ -255,7 +255,7 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     and the result is rounded up, never below the exact tail.  The table is
     computed at `cutoff`; V defaults to it.
     """
-    if beta <= ctx.beta_c:
+    if not beta > ctx.beta_c:
         raise ComputationError(
             f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}"
         )

@@ -1,9 +1,15 @@
-"""Shared graphs and independent oracles for the test suite.
+"""Shared graphs and the test-only independent oracles.
 
 The oracles deliberately avoid the code paths they check: word rewriting for
-normal forms, BFS over right multiplication for enumeration, factorization
-search for divisibility, minimal-upper-bound search for joins, and the
-closed-form weight counts of path:3 for its growth-series tail.
+normal forms (``commutation_class``), BFS over right multiplication for
+enumeration (``bfs_traces_up_to``), factorization search for divisibility
+(``divides_by_word_search``), a subset scan for cliques
+(``cliques_by_subset_scan``) and the closed-form weight counts of path:3 for
+its growth-series tail (``path3_relative_tail``).  The oracles that ``qlo
+verify`` also runs live in ``qlo.oracles``: the minimal-upper-bound search
+for joins (``join_by_search``, ``join_mismatch``), the join translation
+identity (``translation_identity_holds``) and the Wick round trip
+(``wick_round_trip_holds``).
 """
 
 import itertools
@@ -13,8 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlo import Trace, build_graph, divides, multiply
-from qlo.monoid import INFINITY
+from qlo import Trace, build_graph, multiply
 
 
 # -- named graphs -------------------------------------------------------------
@@ -143,28 +148,6 @@ def divides_by_word_search(graph, p, x):
     )
 
 
-def join_by_search(p, q, candidates):
-    """Least common upper bound among p*v for v of weight <= w(q).
-
-    `candidates` must contain every trace of weight <= q.weight.  Returns
-    None when no common upper bound exists; asserts the least element is
-    unique and genuinely divides every other upper bound found.
-    """
-    upper_bounds = [
-        multiply(p, v)
-        for v in candidates
-        if v.weight <= q.weight and divides(q, multiply(p, v))
-    ]
-    if not upper_bounds:
-        return None
-    min_weight = min(u.weight for u in upper_bounds)
-    least = {u.key: u for u in upper_bounds if u.weight == min_weight}
-    assert len(least) == 1, "minimal common upper bound is not unique"
-    least = next(iter(least.values()))
-    assert all(divides(least, u) for u in upper_bounds)
-    return least
-
-
 def cliques_by_subset_scan(graph):
     """Every subset of generators that is pairwise adjacent (incl. empty)."""
     out = []
@@ -190,14 +173,3 @@ def path3_relative_tail(beta, cutoff):
     z_truncated = sum((2 ** (n + 1) - 1) * t**n for n in range(int(cutoff) + 1))
     return z_closed / z_truncated - 1.0
 
-
-def assert_join_matches_oracle(graph, pool, candidates):
-    from qlo import join
-
-    for p, q in itertools.product(pool, repeat=2):
-        expected = join_by_search(p, q, candidates)
-        actual = join(p, q)
-        if expected is None:
-            assert actual is INFINITY, (p, q)
-        else:
-            assert actual is not INFINITY and actual == expected, (p, q)

@@ -11,29 +11,19 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from qlo import (
-    INFINITY,
     ThermoContext,
-    beta_critical,
     beta_critical_limsup_estimate,
     build_rep,
-    clique_polynomial,
     clique_roots_in_unit_interval,
-    divides,
     enumerate_up_to,
     fock_state_value,
     gibbs_numeric,
     gibbs_value,
-    invert_series,
     is_lattice_ordered,
-    join,
     kms_identity_check,
     left_op,
-    multiply,
     nica_check,
-    normalize,
     partition_function,
     range_projection,
     tail_mass,
@@ -41,6 +31,7 @@ from qlo import (
     verify_inversion,
 )
 from qlo.monoid import build_graph
+from qlo.oracles import join_mismatch, translation_identity_holds
 from conftest import NAMED_GRAPHS, path3_relative_tail, random_graph
 
 
@@ -148,46 +139,6 @@ def test_criterion_05_smallest_root_certified():
 # -- 6: join against brute force ------------------------------------------------------
 
 
-def _letter_counts(graph, trace):
-    counts = dict.fromkeys(graph.generators, 0)
-    for block in trace.blocks:
-        for s in block:
-            counts[s] += 1
-    return tuple(counts[s] for s in graph.generators)
-
-
-def _check_join_all_pairs(graph):
-    pool = [t for t in enumerate_up_to(graph, 4 * max(graph.weights.values())) if t.length <= 4]
-    pool.sort(key=lambda t: t.weight)
-    counts = {t.key: _letter_counts(graph, t) for t in pool}
-    products = {
-        p.key: [(v.weight, multiply(p, v)) for v in pool] for p in pool
-    }
-    for q in pool:
-        cq = counts[q.key]
-        for p in pool:
-            upper_bounds = []
-            for v_weight, u in products[p.key]:
-                if v_weight > q.weight:
-                    break
-                cu = counts.get(u.key)
-                if cu is None:
-                    cu = _letter_counts(graph, u)
-                    counts[u.key] = cu
-                if all(a >= b for a, b in zip(cu, cq)) and divides(q, u):
-                    upper_bounds.append(u)
-            result = join(p, q)
-            if not upper_bounds:
-                assert result is INFINITY, (p, q)
-                continue
-            min_weight = min(u.weight for u in upper_bounds)
-            least = {u.key: u for u in upper_bounds if u.weight == min_weight}
-            assert len(least) == 1, (p, q)
-            least = next(iter(least.values()))
-            assert all(divides(least, u) for u in upper_bounds), (p, q)
-            assert result is not INFINITY and result == least, (p, q)
-
-
 def test_criterion_06_join_oracle_and_translation():
     with criterion(6, "recursive join equals brute force; left translation"):
         graphs = [
@@ -195,19 +146,17 @@ def test_criterion_06_join_oracle_and_translation():
             ("rand5a", random_graph(5, seed=3, edge_probability=0.7)),
             ("rand5b", random_graph(5, seed=9, edge_probability=0.7)),
         ]
-        for name, graph in graphs[:1] + graphs[1:]:
-            _check_join_all_pairs(graph)
+        for name, graph in graphs:
+            max_w = max(graph.weights.values())
+            pool = [t for t in enumerate_up_to(graph, 4 * max_w) if t.length <= 4]
+            mismatch = join_mismatch(itertools.product(pool, repeat=2), pool)
+            assert mismatch is None, (name, mismatch)
         rng = random.Random(6)
         for name, graph in graphs:
             pool = [t for t in enumerate_up_to(graph, 3) if t.length <= 3]
             for _ in range(1000):
-                z, p, q = (rng.choice(pool) for _ in range(3))
-                translated = join(multiply(z, p), multiply(z, q))
-                plain = join(p, q)
-                if plain is INFINITY:
-                    assert translated is INFINITY
-                else:
-                    assert translated == multiply(z, plain)
+                triple = tuple(rng.choice(pool) for _ in range(3))
+                assert translation_identity_holds(*triple), (name, triple)
 
 
 # -- 7: exact operator identities --------------------------------------------------

@@ -10,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qlo import cli
+from qlo import INFINITY, cli, join, normalize, oracles
 from qlo.cli import (
     ConfigError,
-    MonoidConfig,
     config_from_dict,
     emit_config,
     parse_config,
@@ -202,12 +201,25 @@ def test_kms_check_passes(capsys):
 
 
 def test_verify_small_cutoff(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--preset", "abelian:2", "--cutoff", "4"
-    )
-    assert code == 0
-    assert "all 12 verification checks passed" in out
-    assert "FAIL" not in out
+    # abelian:2 is complete, so only path:3 and cycle:5 reach infinite joins
+    for preset in ("abelian:2", "path:3", "cycle:5"):
+        code, out, _ = run_cli(capsys, "verify", "--preset", preset, "--cutoff", "4")
+        assert code == 0, preset
+        assert "all 12 verification checks passed" in out
+        assert "FAIL" not in out
+
+
+def test_verify_fails_on_a_wrong_join(capsys, monkeypatch):
+    def join_without_last_block(p, q):
+        bound = join(p, q)
+        if bound is INFINITY or bound.is_identity():
+            return bound
+        return normalize(bound.graph, [s for block in bound.key[:-1] for s in block])
+
+    monkeypatch.setattr(oracles, "join", join_without_last_block)
+    code, out, _ = run_cli(capsys, "verify", "--preset", "path:3", "--cutoff", "4")
+    assert code == cli.EXIT_VERIFICATION
+    assert "FAIL join-equals-brute-force" in out.splitlines()
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -251,6 +263,25 @@ def test_exit_computation_on_subcritical_beta(capsys):
     assert "beta_c" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["growth", "--preset", "path:3", "--cutoff", "abc"], "--cutoff"),
+        (["limsup", "--preset", "free:2", "--cutoff", "1/0"], "--cutoff"),
+        (["gibbs", "--preset", "path:3", "--beta", "nan", "--cutoff", "4"], "--beta"),
+        (["gibbs", "--preset", "path:3", "--beta", "inf", "--cutoff", "4"], "--beta"),
+        (["kms-check", "--preset", "free:2", "--beta", "nan", "--cutoff", "4"], "--beta"),
+        (["beta-c", "--preset", "cycle:5", "--tol", "nan"], "--tol"),
+        (["roots", "--preset", "path:3", "--tol", "inf"], "--tol"),
+    ],
+)
+def test_exit_validation_on_bad_numbers(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
 def test_qlo_threads_validation(capsys, monkeypatch):
     monkeypatch.setenv("QLO_THREADS", "not-a-number")
     code, _, err = run_cli(capsys, "beta-c", "--preset", "free:2")
@@ -261,16 +292,18 @@ def test_qlo_threads_validation(capsys, monkeypatch):
     assert code == 0
 
 
-def test_module_entry_point_runs_the_cli():
+def run_python(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "qlo.cli", "growth", "--preset", "path:3"]
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
 
+
+def test_module_entry_point_runs_the_cli():
     def run(*extra):
-        return subprocess.run(
-            command + list(extra), env=env, capture_output=True, text=True, timeout=120
-        )
+        return run_python("-m", "qlo.cli", "growth", "--preset", "path:3", *extra)
 
     done = run("--cutoff", "3")
     assert done.returncode == cli.EXIT_OK
@@ -278,3 +311,9 @@ def test_module_entry_point_runs_the_cli():
         "lambda_num,lambda_den,a_n", "0,1,1", "1,1,3", "2,1,7", "3,1,15",
     ]
     assert run().returncode == cli.EXIT_USAGE  # --cutoff is required
+
+
+def test_importing_the_cli_leaves_the_oracles_out():
+    done = run_python("-c", "import sys, qlo.cli; print('qlo.oracles' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

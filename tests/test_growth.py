@@ -1,7 +1,5 @@
 """Enumeration, growth tables and clique-polynomial inversion."""
 
-import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +8,6 @@ from qlo import (
     GrowthTable,
     WeightedPolynomial,
     clique_polynomial,
-    divides,
     enumerate_up_to,
     growth_table,
     invert_series,

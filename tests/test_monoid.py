@@ -22,12 +22,18 @@ from qlo import (
     normalize,
     wick,
 )
+from qlo import oracles
+from qlo.oracles import (
+    join_by_search,
+    join_mismatch,
+    translation_identity_holds,
+    wick_round_trip_holds,
+)
 from conftest import (
     NAMED_GRAPHS,
     bfs_traces_up_to,
     commutation_class,
     divides_by_word_search,
-    join_by_search,
     make_free2,
     make_path3,
     random_graph,
@@ -237,13 +243,33 @@ def test_join_spec_examples(path3):
 
 
 def test_join_matches_brute_force_small_graphs():
-    from conftest import assert_join_matches_oracle
-
     for make in (make_path3, lambda: random_graph(4, seed=5)):
         g = make()
         pool = [t for t in bfs_traces_up_to(g, 3) if t.length <= 3]
         candidates = bfs_traces_up_to(g, 3)
-        assert_join_matches_oracle(g, pool, candidates)
+        mismatch = join_mismatch(itertools.product(pool, repeat=2), candidates)
+        assert mismatch is None, mismatch
+
+
+def test_join_by_search_examples(path3):
+    a, b, c = (path3.gen(s) for s in "abc")
+    candidates = bfs_traces_up_to(path3, 2)
+    assert join_by_search(a, b, candidates) == normalize(path3, "ab")
+    assert join_by_search(a, c, candidates) is None
+    assert join_by_search(normalize(path3, "ca"), b, candidates) == normalize(path3, "cab")
+
+
+@pytest.mark.parametrize(
+    "fake_divides, message",
+    [
+        (lambda x, u: u != x.graph.gen("a"), "not unique"),
+        (lambda x, u: x == x.graph.gen("b"), "does not divide"),
+    ],
+)
+def test_join_by_search_rejects_a_non_lattice_order(path3, monkeypatch, fake_divides, message):
+    monkeypatch.setattr(oracles, "divides", fake_divides)
+    with pytest.raises(AssertionError, match=message):
+        join_by_search(path3.gen("a"), path3.gen("b"), bfs_traces_up_to(path3, 1))
 
 
 def test_join_translation_identity():
@@ -251,13 +277,8 @@ def test_join_translation_identity():
     rng = random.Random(23)
     pool = bfs_traces_up_to(g, 3)
     for _ in range(500):
-        z, p, q = (rng.choice(pool) for _ in range(3))
-        translated = join(multiply(z, p), multiply(z, q))
-        plain = join(p, q)
-        if plain is INFINITY:
-            assert translated is INFINITY
-        else:
-            assert translated == multiply(z, plain)
+        triple = tuple(rng.choice(pool) for _ in range(3))
+        assert translation_identity_holds(*triple), triple
 
 
 def test_divides_iff_join_is_the_larger():
@@ -283,14 +304,16 @@ def test_wick_round_trip():
     pool = bfs_traces_up_to(g, 3)
     for _ in range(400):
         p, q = rng.choice(pool), rng.choice(pool)
-        pieces = wick(p, q)
-        if pieces is None:
-            assert join(p, q) is INFINITY
-        else:
-            a, b = pieces
-            bound = join(p, q)
-            assert multiply(p, a) == bound
-            assert multiply(q, b) == bound
+        assert wick_round_trip_holds(p, q), (p, q)
+
+
+def test_wick_round_trip_rejects_wrong_pieces(abelian2, monkeypatch):
+    a, b = abelian2.gen("a"), abelian2.gen("b")
+    assert wick_round_trip_holds(a, b)
+    monkeypatch.setattr(oracles, "wick", lambda p, q: wick(p, q)[::-1])
+    assert not wick_round_trip_holds(a, b)
+    monkeypatch.setattr(oracles, "wick", lambda p, q: None)
+    assert not wick_round_trip_holds(a, b)
 
 
 def test_trace_serialization_is_stable(path3):

@@ -137,6 +137,24 @@ def test_partition_function_rejects_subcritical_beta():
         partition_function(ctx, math.log(2))
     with pytest.raises(ComputationError):
         partition_function(ctx, 0.1)
+    for call in (
+        lambda: partition_function(ctx, math.nan),
+        lambda: partition_function(ctx, math.nan, "truncated", cutoff=4),
+        lambda: tail_mass(ctx, math.nan, 4),
+    ):
+        with pytest.raises(ComputationError):
+            call()
+
+
+def test_nan_tolerance_is_rejected():
+    ctx = ThermoContext(make_free2())
+    for call in (
+        lambda: ThermoContext(make_free2(), tol=math.nan),
+        lambda: beta_critical(ctx, math.nan),
+        lambda: clique_roots_in_unit_interval(ctx, math.nan),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_partition_function_truncated():
