@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -133,19 +132,6 @@ def preset_config(name):
         commuting_pairs=[tuple(e) for e in edges],
         label=f"{family}:{n}",
     )
-
-
-def _thread_cap():
-    raw = os.environ.get("QLO_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError("QLO_THREADS must be a positive integer")
-    if cap < 1:
-        raise ConfigError("QLO_THREADS must be a positive integer")
-    return cap
 
 
 def _fmt(x):
@@ -396,8 +382,6 @@ def _build_parser():
         prog="qlo",
         description="Growth, clique polynomials and equilibrium-state checks "
         "for weighted trace monoids.",
-        epilog="QLO_THREADS (positive integer) caps internal parallelism; "
-        "the current implementation is sequential, so any cap is honoured.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a monoid JSON config")
@@ -458,7 +442,6 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        _thread_cap()
         return args.func(args)
     except (ConfigError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)

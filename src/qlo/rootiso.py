@@ -1,9 +1,11 @@
 """Exact real-root isolation for integer polynomials on (0, 1].
 
-Sign evaluation is exact rational arithmetic; isolation uses the
-Descartes/bisection method (variation counts after the Moebius substitution
-x -> 1/(1+x)), with Yun's algorithm supplying squarefree factors so that
-multiple roots are located once and reported with their multiplicity.
+Polynomial arithmetic is integer-only; Fraction appears only in interval
+endpoints.  Signs at a rational a/b come from the integer b**n * p(a/b);
+Yun's algorithm finds the squarefree factors with a primitive-remainder-
+sequence gcd and exact integer division, so multiple roots are located once
+and reported with their multiplicity; isolation is Descartes/bisection
+(variation counts after the Moebius substitution x -> 1/(1+x)).
 Coefficient lists are ascending: coeffs[k] is the coefficient of x**k.
 """
 
@@ -11,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 __all__ = [
     "sign_at",
     "squarefree_decomposition",
     "isolate_01",
+    "halvings",
     "refine",
     "IsolatedRoot",
     "roots_in_unit_interval",
@@ -29,101 +34,93 @@ def _trim(coeffs):
     return out
 
 
-def evaluate_at(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def sign_at(coeffs, x):
-    value = evaluate_at(coeffs, x)
-    return (value > 0) - (value < 0)
+    """Sign of p(x) at a rational x = a/b, from b**n * p(a/b) by Horner."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    b_power = 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return (acc > 0) - (acc < 0)
 
 
 def _derivative(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def _poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    den = _trim([Fraction(c) for c in den])
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    rem = list(num)
+def _primitive(coeffs):
+    """Divide out the content, leaving a positive leading coefficient."""
+    coeffs = _trim(coeffs)
+    if not coeffs:
+        return []
+    content = gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
+    return [c // content for c in coeffs]
+
+
+def _exact_div(num, den):
+    """Quotient of integer polynomials whose division leaves no remainder."""
+    rem = _trim(num)
+    top = len(den) - 1
+    quot = [0] * max(len(rem) - top, 0)
     for k in range(len(quot) - 1, -1, -1):
-        factor = rem[k + len(den) - 1] / den[-1]
+        factor, r = divmod(rem[k + top], den[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division")
         quot[k] = factor
         if factor:
             for i, c in enumerate(den):
                 rem[k + i] -= factor * c
-    return _trim(quot), _trim(rem)
-
-
-def _poly_exact_div(num, den):
-    quot, rem = _poly_divmod(num, den)
-    if rem:
+    if any(rem):
         raise ArithmeticError("inexact polynomial division")
     return quot
 
 
-def _monic_gcd(a, b):
-    a = _trim([Fraction(c) for c in a])
-    b = _trim([Fraction(c) for c in b])
+def _gcd(a, b):
+    """Primitive gcd of integer polynomials (primitive remainder sequence)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _to_primitive(coeffs):
-    """Clear denominators and content, producing a primitive integer list."""
-    from math import gcd, lcm
-
-    if not coeffs:
-        return []
-    denom = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(Fraction(c) * denom) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    if ints[-1] < 0:
-        content = -content
-    return [c // content for c in ints]
+        rem = a
+        while len(rem) >= len(b):
+            # scale rem so that a multiple of b cancels its leading term
+            g = gcd(rem[-1], b[-1])
+            factor, k = rem[-1] // g, len(rem) - len(b)
+            rem = [c * (b[-1] // g) for c in rem]
+            for i, c in enumerate(b):
+                rem[k + i] -= factor * c
+            rem = _trim(rem)
+        a, b = b, _primitive(rem)
+    return a
 
 
 def squarefree_decomposition(coeffs):
     """Yun's algorithm: list of (multiplicity, primitive squarefree factor).
 
     Factors of degree zero are dropped; the product of factor**multiplicity
-    recovers the input up to a constant.
+    recovers the input up to a constant.  Every gcd is primitive, so the
+    divisions by it stay in the integers.
     """
-    f = _trim([Fraction(c) for c in coeffs])
+    f = _primitive(coeffs)
     if len(f) <= 1:
         return []
     df = _derivative(f)
-    u = _monic_gcd(f, df)
-    v = _poly_exact_div(f, u)
-    w = _poly_exact_div(df, u)
+    u = _gcd(f, df)
+    v = _exact_div(f, u)
+    w = _exact_div(df, u)
     out = []
     i = 1
     while len(v) > 1:
         dv = _derivative(v)
-        s = [Fraction(0)] * max(len(w), len(dv))
-        for k, c in enumerate(w):
-            s[k] += c
-        for k, c in enumerate(dv):
-            s[k] -= c
-        s = _trim(s)
-        g = _monic_gcd(v, s)
+        s = [x - y for x, y in zip_longest(w, dv, fillvalue=0)]
+        g = _gcd(v, s)
         if len(g) > 1:
-            out.append((i, _to_primitive(g)))
-        v = _poly_exact_div(v, g)
-        w = _poly_exact_div(s, g)
+            out.append((i, g))
+        v = _exact_div(v, g)
+        w = _exact_div(s, g)
         i += 1
     return out
 
@@ -139,16 +136,8 @@ def _taylor_shift_1(coeffs):
 
 
 def _variations(coeffs):
-    count = 0
-    prev = 0
-    for c in coeffs:
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _variations_01(coeffs):
@@ -187,35 +176,43 @@ def isolate_01(coeffs):
             # halves so no local polynomial ever vanishes at an endpoint
             found.append((mid, mid))
             right = right[1:]
-            left = [int(c) for c in _poly_exact_div(left, [-1, 1])]
+            left = _exact_div(left, [-1, 1])
         work.append((lo, mid, left))
         work.append((mid, hi, right))
     found.sort(key=lambda iv: iv[0])
     return found
 
 
-def refine(coeffs, lo, hi, max_width):
-    """Shrink a (lo, hi) isolating interval by exact-sign bisection."""
-    if lo == hi:
-        return lo, hi
-    slo = sign_at(coeffs, lo)
-    shi = sign_at(coeffs, hi)
-    if slo == 0:
-        return lo, lo
-    if shi == 0:
-        return hi, hi
-    if slo == shi:
-        raise ValueError("interval does not bracket a sign change")
-    while hi - lo > max_width:
+def halvings(coeffs, lo, hi):
+    """Yield an isolating interval, then its successive halves, one exact
+    sign per halving; a root hit at a dyadic point ends it with lo == hi."""
+    if lo != hi:
+        slo = sign_at(coeffs, lo)
+        shi = sign_at(coeffs, hi)
+        if slo == 0:
+            hi = lo
+        elif shi == 0:
+            lo = hi
+        elif slo == shi:
+            raise ValueError("interval does not bracket a sign change")
+    yield lo, hi
+    while lo != hi:
         mid = (lo + hi) / 2
         smid = sign_at(coeffs, mid)
         if smid == 0:
-            return mid, mid
-        if smid == slo:
+            lo = hi = mid
+        elif smid == slo:
             lo = mid
         else:
             hi = mid
-    return lo, hi
+        yield lo, hi
+
+
+def refine(coeffs, lo, hi, max_width):
+    """Shrink a (lo, hi) isolating interval by exact-sign bisection."""
+    for lo, hi in halvings(coeffs, lo, hi):
+        if hi - lo <= max_width:
+            return lo, hi
 
 
 @dataclass(frozen=True)
@@ -251,16 +248,16 @@ def roots_in_unit_interval(coeffs):
             roots.append(
                 IsolatedRoot(one, one, multiplicity, tuple(factor))
             )
-            body = _to_primitive(_poly_exact_div(body, [-1, 1]))
+            body = _exact_div(body, [-1, 1])
         if len(body) > 1 and body[0] != 0:
             intervals = isolate_01(body)
-            # an exact root may sit on a neighbouring interval's endpoint;
-            # divide the exact roots out so refinement signs stay honest
+            # an exact root a/b may sit on a neighbouring interval's endpoint;
+            # divide out (b*x - a) so refinement signs stay honest
             deflated = body
             for lo, hi in intervals:
                 if lo == hi:
-                    deflated = _to_primitive(
-                        _poly_exact_div(deflated, [-lo, 1])
+                    deflated = _exact_div(
+                        deflated, [-lo.numerator, lo.denominator]
                     )
             for lo, hi in intervals:
                 owner = body if lo == hi else deflated

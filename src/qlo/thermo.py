@@ -5,9 +5,11 @@ partition function; its abscissa of convergence beta_c is -log of the
 smallest root of the clique polynomial in (0, 1].  Roots are located by
 exact integer sign evaluation and bisection on the rescaled exponent
 lattice, so beta_c = 0 is returned exactly (never as a small float) and the
-smallest-root claim is certified by the isolation itself.  Equilibrium
-values on starred monomials are evaluated symbolically in the exponent,
-which makes the twisted-trace identity an exact, beta-independent check.
+smallest-root claim is certified by the isolation itself.  The polynomial
+arithmetic behind this is integer-only; Fraction appears only at the
+endpoints of the isolating intervals.  Equilibrium values on starred
+monomials are evaluated symbolically in the exponent, which makes the
+twisted-trace identity an exact, beta-independent check.
 """
 
 from __future__ import annotations
@@ -117,11 +119,9 @@ class ThermoContext:
 def _refine_root(ctx, root, tol):
     """Shrink an isolated root until the implied beta window is below tol."""
     d = ctx.clique_poly.scale
-    lo, hi = root.lo, root.hi
-    coeffs = list(root.factor)
-    while lo != hi and d * float((hi - lo) / lo) > tol / 2:
-        lo, hi = rootiso.refine(coeffs, lo, hi, (hi - lo) / 2)
-    return lo, hi
+    for lo, hi in rootiso.halvings(list(root.factor), root.lo, root.hi):
+        if not (lo != hi and d * float((hi - lo) / lo) > tol / 2):
+            return lo, hi
 
 
 def beta_critical(ctx, tol):
@@ -177,6 +177,8 @@ def clique_roots_in_unit_interval(ctx, tol):
     closer than 2*tol are merged and flagged.  The subcritical list holds
     the roots strictly between the smallest root and 1, the only inverse
     temperatures below the critical one admissible for equilibrium states.
+    A subcritical root is a necessary condition for a KMS state below
+    beta_c, not a sufficient one: a root listed here need not carry a state.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -4,8 +4,9 @@ The oracles deliberately avoid the code paths they check: word rewriting for
 normal forms (``commutation_class``), BFS over right multiplication for
 enumeration (``bfs_traces_up_to``), factorization search for divisibility
 (``divides_by_word_search``), a subset scan for cliques
-(``cliques_by_subset_scan``) and the closed-form weight counts of path:3 for
-its growth-series tail (``path3_relative_tail``).  The oracles that ``qlo
+(``cliques_by_subset_scan``), rational Horner evaluation for polynomial signs
+(``fraction_horner``) and the closed-form weight counts of path:3 for its
+growth-series tail (``path3_relative_tail``).  The oracles that ``qlo
 verify`` also runs live in ``qlo.oracles``: the minimal-upper-bound search
 for joins (``join_by_search``, ``join_mismatch``), the join translation
 identity (``translation_identity_holds``) and the Wick round trip
@@ -159,6 +160,14 @@ def cliques_by_subset_scan(graph):
             ):
                 out.append(frozenset(subset))
     return out
+
+
+def fraction_horner(coeffs, x):
+    """p(x) in exact rational arithmetic; coeffs[k] multiplies x**k."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def path3_relative_tail(beta, cutoff):

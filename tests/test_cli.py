@@ -169,6 +169,45 @@ def test_roots_output(capsys):
     assert lines[2] == "1,1,0"
 
 
+SCALE62_STDOUT = {
+    ("beta-c", "csv"): "3.15675828085894\n",
+    ("beta-c", "json"): '{\n  "beta_c": 3.156758280858943,\n  "tol": 1e-12\n}\n',
+    ("roots", "csv"): (
+        "value,multiplicity,subcritical\n"
+        "0.0425634965791275,1,0\n"
+        "0.613443437702335,1,1\n"
+    ),
+    ("roots", "json"): """{
+  "roots": [
+    {
+      "value": 0.04256349657912752,
+      "multiplicity": 1,
+      "exact": false,
+      "subcritical": false
+    },
+    {
+      "value": 0.6134434377023349,
+      "multiplicity": 1,
+      "exact": false,
+      "subcritical": true
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(SCALE62_STDOUT))
+def test_scale62_cycle_pinned_output(capsys, command, fmt):
+    # 5-cycle with weights 1/31, 1/2, 1, 1, 1: a scale-62, degree-124 clique
+    # polynomial whose squarefree step once dominated the run time
+    code, out, err = run_cli(
+        capsys, command, "--config", str(DATA / "cycle5_scale62.json"), "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert out == SCALE62_STDOUT[command, fmt]
+
+
 def test_limsup_output(capsys):
     code, out, _ = run_cli(
         capsys, "limsup", "--preset", "free:2", "--cutoff", "20"
@@ -280,16 +319,6 @@ def test_exit_validation_on_bad_numbers(capsys, argv, flag):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert flag in err and "Traceback" not in err
-
-
-def test_qlo_threads_validation(capsys, monkeypatch):
-    monkeypatch.setenv("QLO_THREADS", "not-a-number")
-    code, _, err = run_cli(capsys, "beta-c", "--preset", "free:2")
-    assert code == 3
-    assert "QLO_THREADS" in err
-    monkeypatch.setenv("QLO_THREADS", "2")
-    code, out, _ = run_cli(capsys, "beta-c", "--preset", "free:2")
-    assert code == 0
 
 
 def run_python(*argv):

@@ -1,14 +1,25 @@
 """Exact root isolation: known polynomials, multiplicities, tight clusters."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlo import rootiso
+from conftest import fraction_horner
 
 
 def poly(*coeffs):
     return list(coeffs)
+
+
+def times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def test_sign_at_is_exact():
@@ -114,19 +125,59 @@ def test_roots_intervals_are_disjoint_and_sorted():
 
 
 def test_wilkinson_style_cluster():
-    # roots 1/2, 1/4, 1/8, ..., 1/64 all isolated correctly
-    p = [Fraction(1)]
+    # roots 1/2, 1/4, 1/8, ..., 1/64 of the product of (2^k x - 1)
+    p = [1]
     for k in range(1, 7):
-        root = Fraction(1, 2**k)
-        p = [
-            (p[i] if i < len(p) else 0) * (-root)
-            + (p[i - 1] if i >= 1 else 0)
-            for i in range(len(p) + 1)
-        ]
-    ints = rootiso._to_primitive(p)
-    roots = rootiso.roots_in_unit_interval(ints)
+        p = times(p, [-1, 2**k])
+    roots = rootiso.roots_in_unit_interval(p)
     values = sorted(float((r.lo + r.hi) / 2) for r in roots)
     expected = sorted(1 / 2**k for k in range(1, 7))
     assert len(values) == 6
     for got, want in zip(values, expected):
         assert abs(got - want) < 1e-6
+
+
+# distinct roots a/b with 0 < a < b <= 9, each with a multiplicity k <= 3
+linear_factors = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(2, 9), st.integers(1, 3)).filter(
+        lambda t: t[0] < t[1]
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda t: Fraction(t[0], t[1]),
+)
+# c0 + c1 x + c2 x^2 with no real root
+quadratics = st.tuples(
+    st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9)
+).filter(lambda q: q[1] ** 2 < 4 * q[0] * q[2])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    linear_factors,
+    quadratics,
+    st.lists(st.fractions(-2, 2, max_denominator=60), max_size=4),
+)
+def test_integer_l3_on_products_of_linear_factors(factors, quadratic, points):
+    roots = {Fraction(a, b): k for a, b, k in factors}
+    quadratic = [c // math.gcd(*quadratic) for c in quadratic]
+    p = quadratic
+    expected = {1: quadratic}
+    for r, k in roots.items():
+        linear = [-r.numerator, r.denominator]
+        for _ in range(k):
+            p = times(p, linear)
+        expected[k] = times(expected.get(k, [1]), linear)
+    for x in [Fraction(0), Fraction(1), *roots, *points]:
+        value = fraction_horner(p, x)
+        assert rootiso.sign_at(p, x) == (value > 0) - (value < 0)
+
+    decomposition = rootiso.squarefree_decomposition(p)
+    assert dict(decomposition) == expected
+    assert len(decomposition) == len(expected)
+
+    reported = rootiso.roots_in_unit_interval(p)
+    assert len(reported) == len(roots)
+    for r, k in roots.items():
+        (owner,) = [x for x in reported if x.lo <= r <= x.hi]
+        assert owner.multiplicity == k
