@@ -332,6 +332,8 @@ def _cmd_verify(args):
     for name, func in checks:
         try:
             ok = func()
+        except ComputationError:  # a refused input size exits 4, not a failed check
+            raise
         except Exception as exc:  # a crash is a failure with a reason
             ok = False
             print(f"FAIL {name}: {exc}")

@@ -2,14 +2,15 @@
 
 The basis is every monoid element of weight at most a cutoff W.  Inside, a
 left translation L_p is a cached column -> row partial map (the row of p*x
-for each column x whose product stays in the basis): composition is
-indexing, L L^* is the diagonal of preimage counts and a range projection
-is an image set, so the projection identities hold exactly in integers at
-every finite W.  ``SparseOperator``
-(dict-of-entries, never dense) is the public type and, through its matmul,
-the independent oracle for those maps.  Floating point enters only through
-the density exp(-beta*H) and the Gibbs/twisted-trace numerics, whose
-truncation error is controlled by an exact tail bound.
+for each column x whose product stays in the basis), built without
+multiplying words: generator maps come from each element's parent, and
+longer p compose them, as v_p v_q = v_pq.  Composition is indexing, L L^*
+is the diagonal of preimage counts and a range projection is an image set,
+so the projection identities hold exactly in integers at every finite W.
+``SparseOperator`` (dict-of-entries, never dense) is the public type and,
+through its matmul, the independent oracle for those maps.  Floating point
+enters only through the density exp(-beta*H) and the Gibbs/twisted-trace
+numerics, whose truncation error is controlled by an exact tail bound.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .growth import _cliques, enumerate_up_to
-# multiply is no longer called here; bench/tests checks that tracing it
-# through qlo.fock leaves it restored, so the name stays importable
+from .growth import _cliques, enumerate_up_to, growth_table
+# multiply is unused; bench/tests checks that tracing restores qlo.fock.multiply
 from .monoid import INFINITY, MismatchedGraphError, join, multiply  # noqa: F401
-from .monoid import _check_same_graph, _letters, _product
+from .monoid import _check_same_graph, _insert, _letters, _remove_front
 from .thermo import ComputationError, ThermoContext, tail_mass
 
 __all__ = [
@@ -44,6 +44,8 @@ __all__ = [
     "dynamics_factor",
     "kms_numeric_check",
 ]
+
+MAX_BASIS_DIM = 1_000_000  # largest basis build_rep enumerates
 
 
 class OperatorIdentityError(RuntimeError):
@@ -143,11 +145,13 @@ class TruncatedRep:
         self.cutoff = Fraction(cutoff)
         self.basis = basis
         self.dim = len(basis)
-        self._row = {x._masks: i for i, x in enumerate(basis)}
+        self._row = row = {x._masks: i for i, x in enumerate(basis)}
+        # row of each element without its last Foata block (the identity's is 0)
+        self._parent = [0] + [row[x._masks[:-1]] for x in basis[1:]]
         # scaled weights, ascending because the basis is sorted by weight
         self._weights = [x._w for x in basis]
         self._top = math.floor(self.cutoff * graph.scale)
-        self._left_cache = {}  # p's block masks -> column -> row partial map
+        self._left_cache = {(): list(range(self.dim))}  # p's masks -> L_p's map
         self._density_cache = {}
         self._thermo = thermo
 
@@ -165,33 +169,60 @@ class TruncatedRep:
 
 def build_rep(graph, cutoff, thermo=None):
     """Weight-<=cutoff basis, deterministically ordered; rep.thermo() returns
-    ``thermo`` when one is passed in."""
+    ``thermo`` when one is passed in.  A basis counted (by growth table)
+    above MAX_BASIS_DIM raises ComputationError instead of being enumerated."""
     if thermo is not None and thermo.graph != graph:
         raise MismatchedGraphError("thermo context lives over another graph")
+    dim = (thermo.growth(cutoff) if thermo else growth_table(graph, cutoff)).total()
+    if dim > MAX_BASIS_DIM:
+        raise ComputationError(f"basis dimension {dim} exceeds the limit {MAX_BASIS_DIM}")
     return TruncatedRep(graph, Fraction(cutoff), enumerate_up_to(graph, cutoff), thermo)
 
 
 def _left_map(rep, p):
     """Column -> row partial map of L_p: the row of p*x for each column x
-    of the basis prefix w(x) <= W - w(p); L_p drops every later column.
-
-    The basis is sorted by weight, so bisection finds that prefix, and only
-    its products are formed, on block masks.
-    """
+    of the basis prefix w(x) <= W - w(p), found by bisection; L_p drops
+    every later column.  No word is multiplied: letters s come off p's front
+    (p = s*(s\\p), s the highest letter of the first Foata block) until a
+    cached or generator map is reached, and the generator maps are composed
+    back onto it, as L_p = L_s o L_(s\\p)."""
     _check_rep_graph(rep, p)
-    cached = rep._left_cache.get(p._masks)
+    cache, dep = rep._left_cache, rep.graph._dep
+    cached = cache.get(p._masks)
     if cached is None:
         end = bisect_right(rep._weights, rep._top - p._w)
-        dep, pm, row = rep.graph._dep, p._masks, rep._row
-        cached = [row[_product(dep, pm, x._masks)] for x in rep.basis[:end]]
-        rep._left_cache[p._masks] = cached
+        pm, n, fronts = p._masks, p.length, []  # fronts: outermost letter first
+        while end and n > 1 and pm not in cache:
+            fronts.append(1 << (pm[0].bit_length() - 1))
+            pm, n = tuple(_remove_front(dep, pm, fronts[-1])), n - 1
+        cached = cache.get(pm) if end else []  # [] when p is heavier than W
+        if cached is None:
+            cached = _generator_map(rep, pm[0])
+        for s in reversed(fronts):
+            outer = _generator_map(rep, s)
+            cached = [outer[r] for r in cached[:end]]
+        cache[p._masks] = cached
+    return cached
+
+
+def _generator_map(rep, s):
+    """Cached map of generator bit s, in basis order: each x = x'|b comes
+    after its parent x', so s*x is s*x' with the letters of b dropped on."""
+    cached = rep._left_cache.get((s,))
+    if cached is None:
+        graph, basis, parent, row = rep.graph, rep.basis, rep._parent, rep._row
+        end = bisect_right(rep._weights, rep._top - graph._w[s.bit_length() - 1])
+        cached = rep._left_cache[(s,)] = [row[(s,)]] if end else []
+        for c in range(1, end):
+            blocks = list(basis[cached[parent[c]]]._masks)
+            _insert(graph._dep, blocks, basis[c]._masks[-1])
+            cached.append(row[tuple(blocks)])
     return cached
 
 
 def left_op(rep, p):
     """Truncated left translation by p: basis vector at x goes to p*x."""
-    m = _left_map(rep, p)
-    return SparseOperator(rep.dim, {(r, c): 1 for c, r in enumerate(m)})
+    return SparseOperator(rep.dim, {(r, c): 1 for c, r in enumerate(_left_map(rep, p))})
 
 
 def range_projection(rep, p):
@@ -212,7 +243,9 @@ def vacuum_projection(rep):
     Built both as the product of the generator complements and as the
     alternating clique sum.  Each L L^* is diagonal, holding the number of
     columns its partial map sends to each row, so both forms are integer
-    vectors that must agree entrywise.
+    vectors that must agree entrywise.  Clique maps are composed from the
+    generator maps; test_range_projection_matches_word_search_oracle and
+    test_left_map_matches_multiply_oracle check both independently.
     """
     graph = rep.graph
     product = [1] * rep.dim
@@ -304,15 +337,12 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    p1, q1 = pair1
-    p2, q2 = pair2
+    (p1, q1), (p2, q2) = pair1, pair2
     for x in (p1, q1, p2, q2):
         _check_rep_graph(rep, x)
     ctx = rep.thermo()
     if not beta > ctx.beta_c:
-        raise ComputationError(
-            f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}"
-        )
+        raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
     a_map, b_map = _monomial_map(rep, p1, q1), _monomial_map(rep, p2, q2)
     weights = _density_values(rep, beta)
     z_trunc = sum(weights)
@@ -328,13 +358,8 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
         + twist * tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_a)
     ) / z_trunc
     return KmsNumericReport(
-        residual=residual,
-        bound=bound + tol,
-        psi_ab=psi_ab,
-        psi_ba=psi_ba,
-        twist=twist,
-        beta=beta,
-        cutoff=rep.cutoff,
+        residual=residual, bound=bound + tol, psi_ab=psi_ab, psi_ba=psi_ba,
+        twist=twist, beta=beta, cutoff=rep.cutoff,
     )
 
 

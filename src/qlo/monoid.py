@@ -326,16 +326,19 @@ def _trace(graph, masks):
 # -- Foata normal form machinery ------------------------------------------
 
 
-def _insert(dep, blocks, bit):
-    """Drop one letter onto a list of block masks, in place."""
-    d = dep[bit.bit_length() - 1]
-    k = len(blocks)
-    while k and not blocks[k - 1] & d:
-        k -= 1
-    if k == len(blocks):
-        blocks.append(bit)
-    else:
-        blocks[k] |= bit
+def _insert(dep, blocks, mask):
+    """Drop a mask's letters, lowest bit first, onto block masks, in place."""
+    while mask:
+        bit = mask & -mask
+        d = dep[bit.bit_length() - 1]
+        k = len(blocks)
+        while k and not blocks[k - 1] & d:
+            k -= 1
+        if k == len(blocks):
+            blocks.append(bit)
+        else:
+            blocks[k] |= bit
+        mask ^= bit
 
 
 def _product(dep, pm, qm):
@@ -348,11 +351,7 @@ def _product(dep, pm, qm):
         return qm
     blocks = list(pm)
     for j, b in enumerate(qm):
-        m = b
-        while m:
-            low = m & -m
-            _insert(dep, blocks, low)
-            m ^= low
+        _insert(dep, blocks, b)
         if not b & ~blocks[-1]:
             return (*blocks, *qm[j + 1 :])
     return tuple(blocks)

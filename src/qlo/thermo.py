@@ -85,6 +85,7 @@ class ThermoContext:
         self._roots = rootiso.roots_in_unit_interval(self._coeffs)
         self.tol = tol
         self._tables = {}
+        self._refined = {}  # (isolated root, tol) -> refined (lo, hi)
         self.beta_c = beta_critical(self, tol)
 
     def growth(self, cutoff):
@@ -117,11 +118,14 @@ class ThermoContext:
 
 
 def _refine_root(ctx, root, tol):
-    """Shrink an isolated root until the implied beta window is below tol."""
-    d = ctx.clique_poly.scale
-    for lo, hi in rootiso.halvings(list(root.factor), root.lo, root.hi):
-        if not (lo != hi and d * float((hi - lo) / lo) > tol / 2):
-            return lo, hi
+    """Shrink an isolated root until its beta window is below tol, once per tol."""
+    if (root, tol) not in ctx._refined:
+        d = ctx.clique_poly.scale
+        for lo, hi in rootiso.halvings(list(root.factor), root.lo, root.hi):
+            if not (lo != hi and d * float((hi - lo) / lo) > tol / 2):
+                ctx._refined[root, tol] = lo, hi
+                break
+    return ctx._refined[root, tol]
 
 
 def beta_critical(ctx, tol):

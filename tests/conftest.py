@@ -73,7 +73,7 @@ NAMED_GRAPHS = {
 }
 
 
-def random_graph(n, seed, edge_probability=0.5):
+def random_graph(n, seed, edge_probability=0.5, weights=1):
     rng = random.Random(seed)
     names = "abcdefgh"[:n]
     edges = [
@@ -82,7 +82,7 @@ def random_graph(n, seed, edge_probability=0.5):
         for b in names[i + 1 :]
         if rng.random() < edge_probability
     ]
-    return build_graph(names, 1, edges)
+    return build_graph(names, weights, edges)
 
 
 @pytest.fixture

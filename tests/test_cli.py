@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qlo import INFINITY, cli, join, normalize, oracles
+from qlo import INFINITY, cli, fock, join, normalize, oracles
 from qlo.cli import (
     ConfigError,
     config_from_dict,
@@ -300,6 +301,24 @@ def test_exit_computation_on_subcritical_beta(capsys):
     )
     assert code == 4
     assert "beta_c" in err
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["kms-check", "--preset", "cycle:5", "--cutoff", "12", "--beta", "3"], 11250001),
+        (["gibbs", "--preset", "cycle:5", "--cutoff", "12", "--beta", "3"], 11250001),
+        # verify builds its basis at min(cutoff, 4)
+        (["verify", "--config", str(DATA / "cycle5_scale62.json"), "--cutoff", "4"], 1009261),
+    ],
+)
+def test_basis_size_guard_fails_fast(capsys, argv, dim):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == cli.EXIT_COMPUTATION
+    assert out == ""
+    assert f"basis dimension {dim} exceeds the limit {fock.MAX_BASIS_DIM}" in err
 
 
 @pytest.mark.parametrize(

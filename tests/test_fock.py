@@ -202,6 +202,28 @@ def test_range_projection_matches_word_search_oracle():
             assert range_projection(rep, p) == want, (g, p)
 
 
+def test_left_map_matches_multiply_oracle():
+    """Composed partial maps against L1's multiply, which the maps never call."""
+    weights = dict(zip("abcd", (Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 4))))
+    cases = [
+        (make_free2(), 5),
+        (make_path3(), 4),
+        (make_cycle5(), 3),
+        (random_graph(4, seed=7, weights=weights), Fraction(7, 2)),
+    ]
+    for g, cutoff in cases:
+        shared = build_rep(g, cutoff)
+        for p in enumerate_up_to(g, 2):
+            prefix = [x for x in shared.basis if x.weight <= shared.cutoff - p.weight]
+            assert prefix == shared.basis[: len(prefix)]
+            want = [shared.index_of(multiply(p, x)) for x in prefix]
+            # a shared rep finds earlier maps in its cache; a fresh one starts from generators
+            assert qlo.fock._left_map(shared, p) == want, (g, p)
+            assert qlo.fock._left_map(build_rep(g, cutoff), p) == want, (g, p)
+        heavy = [p for p in enumerate_up_to(g, cutoff + 1) if p.weight > cutoff]
+        assert all(qlo.fock._left_map(shared, p) == [] for p in heavy[:20])
+
+
 def test_left_op_times_adjoint_is_range_projection():
     for make in (make_free2, make_abelian2, make_path3):
         g = make()

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlo import rootiso
 from qlo import (
     ComputationError,
     InsufficientDataError,
@@ -121,6 +122,20 @@ def test_clique_roots_agree_with_beta_c():
         report = clique_roots_in_unit_interval(ctx, tol)
         assert report.roots, "every nonempty graph has a root in (0, 1]"
         assert abs(math.exp(-ctx.beta_c) - report.roots[0].value) <= 2 * tol
+
+
+def test_roots_report_reuses_the_refined_smallest_root(monkeypatch):
+    ctx = ThermoContext(NAMED_GRAPHS["cycle5"]())  # Q = 1 - 5t + 5t^2: two roots
+    real, starts = rootiso.halvings, []
+    monkeypatch.setattr(
+        rootiso, "halvings", lambda f, lo, hi: starts.append(lo) or real(f, lo, hi)
+    )
+    report = clique_roots_in_unit_interval(ctx, ctx.tol)
+    assert starts == [root.lo for root in ctx._roots[1:]]
+    assert clique_roots_in_unit_interval(ctx, ctx.tol) == report
+    assert len(starts) == len(ctx._roots) - 1  # the second report bisects nothing
+    clique_roots_in_unit_interval(ctx, ctx.tol / 4)
+    assert len(starts) == 2 * len(ctx._roots) - 1  # a new tol refines every root
 
 
 # -- partition function ------------------------------------------------------
