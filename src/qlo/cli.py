@@ -278,12 +278,12 @@ def _cmd_kms_check(args):
     samples = args.samples
     if samples < 1:
         raise ConfigError("--samples must be at least 1")
-    rep = fock.build_rep(graph, cutoff)
-    ctx = rep.thermo()
+    ctx = ThermoContext(graph)
     if beta <= ctx.beta_c:
         raise ComputationError(
             f"--beta must exceed beta_c = {_fmt(ctx.beta_c)}"
         )
+    rep = fock.build_rep(graph, cutoff, thermo=ctx)
     pool = [t for t in rep.basis if t.length <= 2]
     rng = random.Random(20_24)
     rows = []

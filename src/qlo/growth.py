@@ -2,8 +2,10 @@
 
 The number of monoid elements at each weight level is computed two ways that
 must agree: a transfer-style dynamic program over successor blocks, and the
-reciprocal power series of the clique polynomial.  All arithmetic is exact;
-rational weights are handled by rescaling exponents to an integer lattice.
+reciprocal power series of the clique polynomial.  All arithmetic is exact
+and on integers: growth counts and polynomial coefficients are dense integer
+lists on the exponent lattice (1/scale)*Z, and their Fraction-keyed forms
+(`rows`, `counts()`, `terms`) are views built at the API.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from operator import itemgetter
 
 from .monoid import Trace, _block_weight, _dependents, _letters
@@ -29,9 +32,12 @@ __all__ = [
 
 
 class WeightedPolynomial:
-    """Polynomial with integer coefficients and nonnegative rational exponents."""
+    """Polynomial with integer coefficients and nonnegative rational exponents.
 
-    __slots__ = ("terms", "scale")
+    `_coeffs[k]` multiplies t**(k/scale) and the list ends at a nonzero entry;
+    scale is the lcm of the denominators of the nonzero terms."""
+
+    __slots__ = ("_coeffs", "scale", "_terms")
 
     def __init__(self, terms):
         clean = {}
@@ -39,82 +45,77 @@ class WeightedPolynomial:
             exponent = Fraction(exponent)
             if exponent < 0:
                 raise ValueError(f"negative exponent {exponent}")
-            coeff = int(coeff)
-            if coeff:
-                clean[exponent] = coeff
-        self.terms = clean
-        self.scale = math.lcm(*(e.denominator for e in clean)) if clean else 1
+            if int(coeff):
+                clean[exponent] = int(coeff)
+        self.scale = math.lcm(*(e.denominator for e in clean))
+        self._coeffs = [0] * (int(max(clean) * self.scale) + 1) if clean else []
+        for e, c in clean.items():
+            self._coeffs[int(e * self.scale)] = c
+        self._terms = None
 
     @classmethod
     def one(cls):
         return cls({Fraction(0): 1})
 
     @property
+    def terms(self):
+        """Derived Fraction view: exponent -> nonzero coefficient, ascending."""
+        if self._terms is None:
+            self._terms = {Fraction(k, self.scale): c for k, c in enumerate(self._coeffs) if c}
+        return self._terms
+
+    @property
     def constant_term(self):
-        return self.terms.get(Fraction(0), 0)
+        return self._coeffs[0] if self._coeffs else 0
 
     @property
     def degree(self):
-        return max(self.terms) if self.terms else Fraction(0)
+        return Fraction(max(len(self._coeffs) - 1, 0), self.scale)
 
     def truncate(self, cutoff):
-        cutoff = Fraction(cutoff)
-        return WeightedPolynomial(
-            {e: c for e, c in self.terms.items() if e <= cutoff}
-        )
+        top = math.floor(Fraction(cutoff) * self.scale)
+        return _poly(self._coeffs[: max(top + 1, 0)], self.scale)
 
     def integer_coefficients(self):
         """Dense coefficient list after substituting t = x**(1/scale)."""
-        if not self.terms:
-            return [0]
-        top = int(self.degree * self.scale)
-        out = [0] * (top + 1)
-        for e, c in self.terms.items():
-            out[int(e * self.scale)] = c
-        return out
+        return list(self._coeffs) or [0]
 
     def evaluate(self, t):
-        return sum(c * t ** float(e) for e, c in self.terms.items())
+        return sum(c * t ** (k / self.scale) for k, c in enumerate(self._coeffs) if c)
+
+    def _common(self, other):
+        """(d, own coefficients, other's coefficients), both on the lattice (1/d)*Z."""
+        d = math.lcm(self.scale, other.scale)
+        return d, _spread(self._coeffs, d // self.scale), _spread(other._coeffs, d // other.scale)
 
     def __add__(self, other):
         if not isinstance(other, WeightedPolynomial):
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return WeightedPolynomial(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WeightedPolynomial({e: -c for e, c in self.terms.items()})
+        d, a, b = self._common(other)
+        return _poly([x + y for x, y in zip_longest(a, b, fillvalue=0)], d)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return WeightedPolynomial({e: c * other for e, c in self.terms.items()})
+            return _poly([c * other for c in self._coeffs], self.scale)
         if not isinstance(other, WeightedPolynomial):
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return WeightedPolynomial(terms)
+        d, a, b = self._common(other)
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _poly(out, d)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, WeightedPolynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.scale == other.scale and self._coeffs == other._coeffs
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e, c in self.terms.items():
             if e == 0:
                 body = str(abs(c))
             else:
@@ -124,51 +125,76 @@ class WeightedPolynomial:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __repr__(self):
         return f"WeightedPolynomial({self})"
 
 
-class GrowthTable:
-    """Sorted (weight level, element count) rows up to a cutoff."""
+def _spread(coeffs, step):
+    """A coefficient list moved onto a lattice `step` times finer."""
+    out = [0] * ((len(coeffs) - 1) * step + 1)
+    out[::step] = coeffs
+    return out
 
-    __slots__ = ("rows", "cutoff")
+
+def _poly(coeffs, scale):
+    """The polynomial with coeffs[k] at t**(k/scale), on its coarsest lattice."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    step = math.gcd(scale, *(k for k, c in enumerate(coeffs) if c))
+    poly = WeightedPolynomial.__new__(WeightedPolynomial)
+    poly._coeffs, poly.scale, poly._terms = coeffs[::step], scale // step, None
+    return poly
+
+
+class GrowthTable:
+    """Element counts per weight level up to a cutoff.
+
+    The counts are the truncated growth series, a WeightedPolynomial, so an
+    integer list on its scale lattice; ``rows`` (sorted (weight, count) pairs),
+    ``counts()`` and ``max_weight`` are derived Fraction views."""
+
+    __slots__ = ("_series", "cutoff")
 
     def __init__(self, rows, cutoff):
         rows = [(Fraction(w), int(n)) for w, n in rows]
         if not rows or rows[0] != (Fraction(0), 1):
             raise ValueError("a growth table starts with the identity row (0, 1)")
-        for (w1, n1), (w2, n2) in zip(rows, rows[1:]):
-            if w2 <= w1:
-                raise ValueError("weight levels must be strictly increasing")
+        if any(w2 <= w1 for (w1, _), (w2, _) in zip(rows, rows[1:])):
+            raise ValueError("weight levels must be strictly increasing")
         if any(n < 1 for _, n in rows):
             raise ValueError("counts must be positive")
         cutoff = Fraction(cutoff)
         if rows[-1][0] > cutoff:
             raise ValueError("row above the cutoff")
-        self.rows = rows
+        self._series = WeightedPolynomial(dict(rows))
         self.cutoff = cutoff
 
+    @property
+    def rows(self):
+        return list(self._series.terms.items())
+
     def counts(self):
-        return dict(self.rows)
+        return dict(self._series.terms)
 
     def total(self):
-        return sum(n for _, n in self.rows)
+        return sum(self._series._coeffs)
 
     @property
     def max_weight(self):
-        return self.rows[-1][0]
+        return self._series.degree
 
     def truncated_sum(self, beta):
         """Sum of n * exp(-beta*w) over all rows."""
-        return sum(n * math.exp(-beta * float(w)) for w, n in self.rows)
+        d = self._series.scale
+        return sum(n * math.exp(-beta * (k / d)) for k, n in enumerate(self._series._coeffs) if n)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._series._coeffs) - self._series._coeffs.count(0)
 
     def __repr__(self):
-        return f"GrowthTable({len(self.rows)} levels up to {self.cutoff})"
+        return f"GrowthTable({len(self)} levels up to {self.cutoff})"
 
 
 @dataclass(frozen=True)
@@ -245,83 +271,66 @@ def enumerate_up_to(graph, cutoff):
 
 
 def growth_table(graph, cutoff):
-    """Element counts per weight level via the successor-block transfer DP."""
+    """Element counts per weight level via the successor-block transfer DP.
+
+    ends[w][j] counts the block sequences of scaled weight w ending in clique
+    j, and slot `start` the empty one; it sums ends[w - w(j)] over the slots j
+    may follow.  j may follow itself, so each itemgetter returns a tuple."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    d = graph.scale
-    top = int(cutoff * d)  # floor
+    top = math.floor(cutoff * graph.scale)
     cliques = _cliques(graph)
     weights = [_block_weight(graph, b) for b in cliques]
-    succ = _successors(graph, cliques)
-    counts = [0] * (top + 1)
-    counts[0] = 1
-    # level[w][i] = number of block sequences of scaled weight w ending in clique i
-    level = [dict() for _ in range(top + 1)]
-    for i, w in enumerate(weights):
-        if w <= top:
-            level[w][i] = level[w].get(i, 0) + 1
+    start = len(cliques)
+    pred = [[start] for _ in cliques]
+    for i, succ in enumerate(_successors(graph, cliques)):
+        for j in succ:
+            pred[j].append(i)
+    pad = max(weights)  # ends[pad + w] is level w; the levels below 0 are empty
+    ends = [[0] * (start + 1)] * pad + [[0] * start + [1]]
+    pulls = [(itemgetter(*p), pad - w) for p, w in zip(pred, weights)]
     for w in range(1, top + 1):
-        for i, n in level[w].items():
-            counts[w] += n
-            for j in succ[i]:
-                w2 = w + weights[j]
-                if w2 <= top:
-                    level[w2][j] = level[w2].get(j, 0) + n
-    rows = [(Fraction(w, d), counts[w]) for w in range(top + 1) if counts[w]]
-    return GrowthTable(rows, cutoff)
+        ends.append([sum(get(ends[w + shift])) for get, shift in pulls] + [0])
+    table = GrowthTable.__new__(GrowthTable)
+    table._series, table.cutoff = _poly([sum(level) for level in ends[pad:]], graph.scale), cutoff
+    return table
 
 
 def clique_polynomial(graph):
     """Alternating clique sum: coefficient (-1)^|F| at exponent w(F)."""
-    terms = {}
+    coeffs = [0] * (sum(graph._w) + 1)
     for block in _cliques(graph, include_empty=True):
-        e = Fraction(_block_weight(graph, block), graph.scale)
-        terms[e] = terms.get(e, 0) + (-1) ** block.bit_count()
-    return WeightedPolynomial(terms)
+        coeffs[_block_weight(graph, block)] += -1 if block.bit_count() & 1 else 1
+    return _poly(coeffs, graph.scale)
 
 
 def invert_series(poly, cutoff):
     """Reciprocal power series of poly modulo exponents above the cutoff.
 
-    Requires constant term 1; runs the triangular recurrence on the
-    integer-scaled exponent lattice, all arithmetic exact.
-    """
+    Requires constant term 1; runs the triangular recurrence in integers on
+    poly's exponent lattice, over its nonzero coefficients only."""
     if poly.constant_term != 1:
         raise ValueError("series inversion requires constant term 1")
-    cutoff = Fraction(cutoff)
-    d = poly.scale
-    coeffs = poly.integer_coefficients()
-    deg = len(coeffs) - 1
-    top = int(cutoff * d)
-    inv = [0] * (top + 1)
-    inv[0] = 1
-    for m in range(1, top + 1):
-        acc = 0
-        for k in range(1, min(m, deg) + 1):
-            if coeffs[k]:
-                acc += coeffs[k] * inv[m - k]
-        inv[m] = -acc
-    return WeightedPolynomial(
-        {Fraction(m, d): inv[m] for m in range(top + 1) if inv[m]}
-    )
+    top = int(Fraction(cutoff) * poly.scale)
+    deg = len(poly._coeffs) - 1
+    terms = [(k, c) for k, c in enumerate(poly._coeffs) if k and c]
+    inv = [0] * deg + [1]  # inv[deg + m] is the coefficient at m/scale; below 0 it is 0
+    for m in range(deg + 1, deg + top + 1):
+        inv.append(-sum([c * inv[m - k] for k, c in terms]))
+    return _poly(inv[deg:], poly.scale)
 
 
 def verify_inversion(graph, cutoff):
-    """Compare the clique-polynomial reciprocal with the transfer-DP counts."""
+    """Compare the clique-polynomial reciprocal with the transfer-DP counts,
+    as integer lists spread onto their common exponent lattice."""
     cutoff = Fraction(cutoff)
     table = growth_table(graph, cutoff)
     series = invert_series(clique_polynomial(graph), cutoff)
-    expected = table.counts()
-    got = {e: c for e, c in series.terms.items() if e <= cutoff}
-    for w in sorted(set(expected) | set(got)):
-        if expected.get(w, 0) != got.get(w, 0):
-            return InversionReport(
-                match=False,
-                cutoff=cutoff,
-                first_mismatch=(w, expected.get(w, 0), got.get(w, 0)),
-            )
-    return InversionReport(match=True, cutoff=cutoff, first_mismatch=None)
+    d, expected, got = table._series._common(series)
+    pairs = enumerate(zip_longest(expected, got, fillvalue=0))
+    mismatch = next(((Fraction(k, d), n, c) for k, (n, c) in pairs if n != c), None)
+    return InversionReport(match=mismatch is None, cutoff=cutoff, first_mismatch=mismatch)
 
 
 def is_lattice_ordered(graph):

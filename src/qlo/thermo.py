@@ -266,15 +266,11 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
             f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}"
         )
     bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
-    q = ctx._coeffs
-    d = ctx.clique_poly.scale
+    # Q and the growth counts as integer lists on one lattice (1/d)*Z
+    d, q, a = ctx.clique_poly._common(ctx.growth(max(Fraction(cutoff), bound))._series)
     deg = len(q) - 1
     top = max(math.floor(bound * d), -1)
-    a = dict.fromkeys(range(max(top - deg + 1, 0), top + 1), 0)
-    for w, n in ctx.growth(max(Fraction(cutoff), bound)).rows:
-        i = w.numerator * (d // w.denominator)
-        if i in a:
-            a[i] = n
+    a = a[: top + 1] + [0] * (top + 1 - len(a))
     # R(x) = x**(top+1) * S(x); S holds the coefficients of R from degree top+1
     s = [
         int(m == 0) - sum(q[k] * a[m - k] for k in range(m - top, min(deg, m) + 1))

@@ -5,8 +5,10 @@ normal forms (``commutation_class``), BFS over right multiplication for
 enumeration (``bfs_traces_up_to``), factorization search for divisibility
 (``divides_by_word_search``), a subset scan for cliques
 (``cliques_by_subset_scan``), rational Horner evaluation for polynomial signs
-(``fraction_horner``) and the closed-form weight counts of path:3 for its
-growth-series tail (``path3_relative_tail``).  The oracles that ``qlo
+(``fraction_horner``), the closed-form weight counts of path:3 for its
+growth-series tail (``path3_relative_tail``), and Fraction-keyed clique sums
+and series recurrences for L2 (``reference_clique_terms``,
+``reference_inverse_terms``).  The oracles that ``qlo
 verify`` also runs live in ``qlo.oracles``: the minimal-upper-bound search
 for joins (``join_by_search``, ``join_mismatch``), the join translation
 identity (``translation_identity_holds``) and the Wick round trip
@@ -19,6 +21,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from qlo import Trace, build_graph, multiply
 
@@ -82,6 +85,18 @@ def random_graph(n, seed, edge_probability=0.5, weights=1):
         for b in names[i + 1 :]
         if rng.random() < edge_probability
     ]
+    return build_graph(names, weights, edges)
+
+
+@st.composite
+def weighted_graphs(draw, min_letters=3, max_letters=5):
+    """Random commutation graphs with weights n/d in [1/2, 2], d in {1, 2, 3, 4, 6}."""
+    names = "abcdef"[: draw(st.integers(min_letters, max_letters))]
+    edges = [e for e in itertools.combinations(names, 2) if draw(st.booleans())]
+    weights = {}
+    for s in names:
+        d = draw(st.sampled_from((1, 2, 3, 4, 6)))
+        weights[s] = Fraction(draw(st.integers((d + 1) // 2, 2 * d)), d)
     return build_graph(names, weights, edges)
 
 
@@ -160,6 +175,27 @@ def cliques_by_subset_scan(graph):
             ):
                 out.append(frozenset(subset))
     return out
+
+
+def reference_clique_terms(graph):
+    """Clique polynomial as {exponent: nonzero coefficient}, by subset scan."""
+    terms = {}
+    for clique in cliques_by_subset_scan(graph):
+        e = sum((graph.weights[s] for s in clique), Fraction(0))
+        terms[e] = terms.get(e, 0) + (-1) ** len(clique)
+    return {e: c for e, c in terms.items() if c}
+
+
+def reference_inverse_terms(terms, cutoff):
+    """1/Q up to the cutoff by the triangular recurrence on Fraction exponents."""
+    step = Fraction(1, math.lcm(*(e.denominator for e in terms)))
+    inverse, e = {}, Fraction(0)
+    while e <= cutoff:
+        inverse[e] = int(e == 0) - sum(
+            c * inverse[e - k] for k, c in terms.items() if 0 < k <= e
+        )
+        e += step
+    return {e: c for e, c in inverse.items() if c}
 
 
 def fraction_horner(coeffs, x):

@@ -303,6 +303,20 @@ def test_exit_computation_on_subcritical_beta(capsys):
     assert "beta_c" in err
 
 
+@pytest.mark.parametrize("command", ["kms-check", "gibbs"])
+def test_subcritical_beta_exits_before_the_basis_is_built(capsys, monkeypatch, command):
+    def refuse(graph, cutoff):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(fock, "enumerate_up_to", refuse)
+    code, out, err = run_cli(
+        capsys, command, "--preset", "cycle:4", "--cutoff", "13", "--beta", "0.5"
+    )
+    assert code == cli.EXIT_COMPUTATION
+    assert out == ""
+    assert "--beta must exceed beta_c = 0.693147180559945" in err
+
+
 @pytest.mark.parametrize(
     "argv, dim",
     [

@@ -1,8 +1,13 @@
 """Enumeration, growth tables and clique-polynomial inversion."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import qlo.growth
 
 from qlo import (
     GrowthTable,
@@ -19,13 +24,15 @@ from qlo import (
 from conftest import (
     NAMED_GRAPHS,
     bfs_traces_up_to,
-    cliques_by_subset_scan,
     make_abelian2,
     make_free2,
     make_free3,
     make_path3,
     make_weighted_abelian2,
     random_graph,
+    reference_clique_terms,
+    reference_inverse_terms,
+    weighted_graphs,
 )
 
 
@@ -153,12 +160,7 @@ def test_clique_polynomial_known_cases():
 def test_clique_polynomial_matches_subset_scan():
     for seed in (1, 2, 3):
         g = random_graph(6, seed=seed, edge_probability=0.5)
-        expected = {}
-        for subset in cliques_by_subset_scan(g):
-            e = sum((g.weights[s] for s in subset), Fraction(0))
-            expected[e] = expected.get(e, 0) + (-1) ** len(subset)
-        expected = {e: c for e, c in expected.items() if c}
-        assert clique_polynomial(g).terms == expected
+        assert clique_polynomial(g).terms == reference_clique_terms(g)
 
 
 def test_complete_graph_polynomial_factors():
@@ -183,6 +185,42 @@ def test_unit_complete_graph_is_binomial_power():
     assert clique_polynomial(g).terms == {
         Fraction(k): (-1) ** k * comb(3, k) for k in range(4)
     }
+
+
+fraction_terms = st.dictionaries(
+    st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6))),
+    st.integers(-3, 3),
+    max_size=5,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(fraction_terms, fraction_terms, st.integers(-2, 14))
+def test_polynomial_arithmetic_matches_fraction_dicts(a, b, k):
+    # reference: sums and products of {exponent: coefficient} dicts
+    p, q = WeightedPolynomial(a), WeightedPolynomial(b)
+    cutoff = Fraction(k, 4)
+    total, product = dict(a), {}
+    for e, c in b.items():
+        total[e] = total.get(e, 0) + c
+    for (e1, c1), (e2, c2) in itertools.product(a.items(), b.items()):
+        product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    cases = [
+        (p, a),
+        (p + q, total),
+        (p * q, product),
+        (3 * p, {e: 3 * c for e, c in a.items()}),
+        (p.truncate(cutoff), {e: c for e, c in a.items() if e <= cutoff}),
+    ]
+    for got, want in cases:
+        want = {e: c for e, c in want.items() if c}
+        assert got.terms == want
+        assert got == WeightedPolynomial(want)
+        assert got.scale == math.lcm(*(e.denominator for e in want))
+        assert got.degree == max(want, default=Fraction(0))
+        assert got.constant_term == want.get(Fraction(0), 0)
+        exact = sum(c * 0.7 ** float(e) for e, c in want.items())
+        assert math.isclose(got.evaluate(0.7), exact, rel_tol=1e-12, abs_tol=1e-12)
 
 
 # -- series inversion ------------------------------------------------------------
@@ -238,16 +276,51 @@ def test_verify_inversion_rational_lattice():
     assert report.match
 
 
-def test_verify_inversion_reports_mismatch_location():
-    # sabotage: compare against a wrong polynomial through the public parts
-    table = growth_table(make_free2(), 4)
-    wrong = invert_series(
-        WeightedPolynomial({Fraction(0): 1, Fraction(1): -3}), 4
-    )
-    diffs = [
-        w for w in table.counts() if table.counts()[w] != wrong.terms.get(w, 0)
+def test_verify_inversion_reports_mismatch_location(monkeypatch):
+    # sabotage: verify_inversion inverts a wrong clique polynomial
+    cases = [
+        # free:2 counts 2^n against 1/(1 - 3t) = sum 3^n t^n
+        (make_free2(), {0: 1, 1: -3}, 4, (Fraction(1), 2, 3)),
+        # a = 1, b = 3/2 commuting: one element at 3/2, two series terms there
+        (make_weighted_abelian2(), {0: 1, 1: -1, Fraction(3, 2): -2}, 4, (Fraction(3, 2), 1, 2)),
+        # a series on a coarser lattice than the table's: none at 3/2
+        (make_weighted_abelian2(), {0: 1, 1: -1}, 4, (Fraction(3, 2), 1, 0)),
     ]
-    assert diffs  # the sabotage is visible, proving the comparison has teeth
+    for graph, wrong, cutoff, mismatch in cases:
+        monkeypatch.setattr(
+            qlo.growth, "clique_polynomial", lambda g: WeightedPolynomial(wrong)
+        )
+        report = verify_inversion(graph, cutoff)
+        assert not report.match
+        assert report.cutoff == cutoff
+        assert report.first_mismatch == mismatch
+
+
+@settings(deadline=None, max_examples=40)
+@given(weighted_graphs(), st.integers(0, 24), st.integers(0, 72))
+@example(make_weighted_abelian2(), 12, 5)  # levels 0 and 1 of a scale-2 graph
+def test_l2_matches_fraction_references(graph, k, m):
+    # weights are at least 1/2, so cutoffs k/12 < 1/2 lie below every weight
+    cutoff = Fraction(k, 12)
+    counted = {}
+    for t in bfs_traces_up_to(graph, cutoff):
+        counted[t.weight] = counted.get(t.weight, 0) + 1
+    table = growth_table(graph, cutoff)
+    assert table.rows == sorted(counted.items())
+    assert table.counts() == counted
+    assert table.total() == sum(counted.values())
+    assert (len(table), table.max_weight) == (len(counted), max(counted))
+    assert GrowthTable(table.rows, cutoff).rows == table.rows
+    assert verify_inversion(graph, cutoff).match
+    terms = reference_clique_terms(graph)
+    series_cutoff = Fraction(m, 12)
+    poly = clique_polynomial(graph)
+    series = invert_series(poly, series_cutoff)
+    for got, want in ((poly, terms), (series, reference_inverse_terms(terms, series_cutoff))):
+        assert got.terms == want
+        assert got.scale == math.lcm(*(e.denominator for e in want))
+        assert got.degree == max(want)
+        assert str(got) == str(WeightedPolynomial(want))
 
 
 # -- lattice order ------------------------------------------------------------------

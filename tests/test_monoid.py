@@ -37,6 +37,7 @@ from conftest import (
     make_free2,
     make_path3,
     random_graph,
+    weighted_graphs,
 )
 
 
@@ -163,6 +164,51 @@ def test_multiply_associative_and_additive(case):
     assert left == right
     assert left.weight == p.weight + q.weight + r.weight
     assert left.length == p.length + q.length + r.length
+
+
+@st.composite
+def weighted_graph_and_words(draw, lengths):
+    graph = draw(weighted_graphs())
+    words = [
+        draw(st.lists(st.sampled_from(graph.generators), max_size=n)) for n in lengths
+    ]
+    return (graph, *words)
+
+
+@settings(deadline=None, max_examples=40)
+@given(weighted_graph_and_words([6]))
+def test_normalize_separates_commutation_classes(case):
+    # of all rearrangements of a word, exactly its commutation class
+    # normalizes to its normal form, whose letters spell a word of the class
+    graph, word = case
+    t = normalize(graph, word)
+    cls = commutation_class(graph, word)
+    assert tuple(s for part in t.key for s in part) in cls
+    assert t.weight == sum((graph.weights[s] for s in word), Fraction(0))
+    for other in set(itertools.permutations(word)):
+        assert (normalize(graph, other) == t) == (other in cls)
+
+
+@settings(deadline=None, max_examples=150)
+@given(weighted_graph_and_words([6, 6]))
+def test_multiply_spells_the_concatenation(case):
+    graph, u, v = case
+    product = multiply(normalize(graph, u), normalize(graph, v))
+    assert product == normalize(graph, u + v)
+    assert product.weight == sum((graph.weights[s] for s in u + v), Fraction(0))
+    if len(u + v) <= 6:  # the class of a longer word can be too large to list
+        flat = tuple(s for part in product.key for s in part)
+        assert flat in commutation_class(graph, u + v)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weighted_graph_and_words([3, 3, 2]), st.booleans())
+def test_divides_matches_word_search_weighted(case, extend):
+    # x is p times a word half of the time, so that both answers occur
+    graph, u, v, w = case
+    p = normalize(graph, u)
+    x = normalize(graph, u + v if extend else v + w)
+    assert divides(p, x) == divides_by_word_search(graph, p, x)
 
 
 def test_multiply_spec_examples(free2, abelian2, path3):
