@@ -45,7 +45,8 @@ __all__ = [
     "kms_numeric_check",
 ]
 
-MAX_BASIS_DIM = 1_000_000  # largest basis build_rep enumerates
+# largest basis build_rep enumerates; kms-check and verify are its CLI users
+MAX_BASIS_DIM = 1_000_000
 
 
 class OperatorIdentityError(RuntimeError):

@@ -11,6 +11,7 @@ lists on the exponent lattice (1/scale)*Z, and their Fraction-keyed forms
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -29,6 +30,13 @@ __all__ = [
     "verify_inversion",
     "is_lattice_ordered",
 ]
+
+MAX_LEVELS = 10_000  # most scaled weight levels a count or an enumeration runs over
+
+
+class ComputationError(RuntimeError):
+    """A numeric request outside its domain (e.g. beta at or below beta_c,
+    or a cutoff past MAX_LEVELS)."""
 
 
 class WeightedPolynomial:
@@ -188,13 +196,33 @@ class GrowthTable:
     def truncated_sum(self, beta):
         """Sum of n * exp(-beta*w) over all rows."""
         d = self._series.scale
-        return sum(n * math.exp(-beta * (k / d)) for k, n in enumerate(self._series._coeffs) if n)
+        return sum(_times_exp(n, -beta * (k / d)) for k, n in enumerate(self._series._coeffs) if n)
 
     def __len__(self):
         return len(self._series._coeffs) - self._series._coeffs.count(0)
 
     def __repr__(self):
         return f"GrowthTable({len(self)} levels up to {self.cutoff})"
+
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _times_exp(n, y):
+    """n * exp(y); a count n past float range goes through log(n) instead."""
+    try:
+        return n * math.exp(y)
+    except OverflowError:
+        y += math.log(n)
+        return math.exp(y) if y < _LOG_MAX else math.inf
+
+
+def _top_level(cutoff, scale):
+    """floor(cutoff * scale), the highest scaled weight level, at most MAX_LEVELS."""
+    top = math.floor(Fraction(cutoff) * scale)
+    if top > MAX_LEVELS:
+        raise ComputationError(f"{top} scaled weight levels exceed the limit {MAX_LEVELS}")
+    return top
 
 
 @dataclass(frozen=True)
@@ -243,7 +271,7 @@ def enumerate_up_to(graph, cutoff):
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    top = math.floor(cutoff * graph.scale)
+    top = _top_level(cutoff, graph.scale)
     cliques = _cliques(graph)
     weights = [_block_weight(graph, b) for b in cliques]
     sizes = [b.bit_count() for b in cliques]
@@ -279,7 +307,7 @@ def growth_table(graph, cutoff):
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    top = math.floor(cutoff * graph.scale)
+    top = _top_level(cutoff, graph.scale)
     cliques = _cliques(graph)
     weights = [_block_weight(graph, b) for b in cliques]
     start = len(cliques)
@@ -312,7 +340,7 @@ def invert_series(poly, cutoff):
     poly's exponent lattice, over its nonzero coefficients only."""
     if poly.constant_term != 1:
         raise ValueError("series inversion requires constant term 1")
-    top = int(Fraction(cutoff) * poly.scale)
+    top = _top_level(cutoff, poly.scale)
     deg = len(poly._coeffs) - 1
     terms = [(k, c) for k, c in enumerate(poly._coeffs) if k and c]
     inv = [0] * deg + [1]  # inv[deg + m] is the coefficient at m/scale; below 0 it is 0

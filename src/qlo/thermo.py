@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rootiso
-from .growth import clique_polynomial, growth_table
+from .growth import ComputationError, clique_polynomial, growth_table
 from .monoid import multiply, wick, _check_same_graph
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
     "kms_identity_check",
     "fock_state_value",
 ]
-
-
-class ComputationError(RuntimeError):
-    """A numeric request outside its domain (e.g. beta at or below beta_c)."""
 
 
 class InsufficientDataError(ComputationError):

@@ -100,6 +100,24 @@ def weighted_graphs(draw, min_letters=3, max_letters=5):
     return build_graph(names, weights, edges)
 
 
+@st.composite
+def one_blocker_words(draw):
+    """(graph, u, v, w) where one letter of v*w is held up by a single letter.
+
+    v = a.b.s with a, b commuting and s commuting with neither, so s sits
+    right above a block that holds a and b; u = a.s.(at most one letter)
+    takes a off the front and asks whether s may fall, which it may not:
+    b alone still blocks it.
+    """
+    graph = draw(weighted_graphs())
+    a, b, s = draw(st.permutations(graph.generators))[:3]
+    edges = graph.edges - {frozenset((a, s)), frozenset((b, s))} | {frozenset((a, b))}
+    graph = build_graph(graph.generators, graph.weights, edges)
+    letters = st.sampled_from(graph.generators)
+    u = [a, s, *draw(st.lists(letters, max_size=1))]
+    return graph, u, [a, b, s], draw(st.lists(letters, max_size=2))
+
+
 @pytest.fixture
 def path3():
     return make_path3()

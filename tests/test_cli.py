@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from qlo import INFINITY, cli, fock, join, normalize, oracles
+from qlo import INFINITY, cli, fock, join, normalize, oracles, preset_graph
+from qlo.growth import MAX_LEVELS
 from qlo.cli import (
     ConfigError,
     config_from_dict,
@@ -321,7 +322,6 @@ def test_subcritical_beta_exits_before_the_basis_is_built(capsys, monkeypatch, c
     "argv, dim",
     [
         (["kms-check", "--preset", "cycle:5", "--cutoff", "12", "--beta", "3"], 11250001),
-        (["gibbs", "--preset", "cycle:5", "--cutoff", "12", "--beta", "3"], 11250001),
         # verify builds its basis at min(cutoff, 4)
         (["verify", "--config", str(DATA / "cycle5_scale62.json"), "--cutoff", "4"], 1009261),
     ],
@@ -333,6 +333,73 @@ def test_basis_size_guard_fails_fast(capsys, argv, dim):
     assert code == cli.EXIT_COMPUTATION
     assert out == ""
     assert f"basis dimension {dim} exceeds the limit {fock.MAX_BASIS_DIM}" in err
+
+
+@pytest.mark.parametrize(
+    "preset, cutoff, dim",
+    [
+        ("cycle:5", "12", 11250001),
+        ("path:3", "40", 2**42 - 43),
+        ("cycle:5", "30", 126959228515625001),
+        # 4,390 digits, more than int -> str allows by default
+        pytest.param("free:9", "4600", (9**4601 - 1) // 8, id="free:9-4600"),
+    ],
+)
+def test_gibbs_reports_past_the_basis_limit(capsys, monkeypatch, preset, cutoff, dim):
+    # gibbs reads the dimension off the growth counts and builds no basis
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(fock, "build_rep", refuse)
+    monkeypatch.setattr(fock, "enumerate_up_to", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "gibbs", "--preset", preset, "--cutoff", cutoff, "--beta", "3"
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert f"dimension,{dim}" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "preset, cutoff",
+    [("path:3", 6), ("path:3", 8), ("path:3", 10), ("free:2", 9), ("cycle:4", 8), ("cycle:5", 5)],
+)
+def test_gibbs_report_matches_the_truncated_representation(capsys, preset, cutoff):
+    # the rep is an independent oracle: its basis size and the Gibbs value of
+    # its vacuum projection must agree with what gibbs reads off the counts
+    graph = preset_graph(preset)
+    rep = fock.build_rep(graph, cutoff)
+    vacuum = fock.vacuum_projection(rep)
+    for beta in (1.5, 3.0):
+        code, out, _ = run_cli(
+            capsys, "gibbs", "--preset", preset, "--cutoff", str(cutoff),
+            "--beta", str(beta), "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["dimension"] == rep.dim
+        assert payload["psi_vacuum"] == 1.0 / payload["Z_truncated"]
+        want = fock.gibbs_numeric(rep, vacuum, beta)
+        assert abs(payload["psi_vacuum"] / want - 1) <= 1e-11, (preset, cutoff, beta)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--preset", "path:3"],
+        ["invert", "--preset", "path:3"],
+        ["limsup", "--preset", "free:2"],
+        ["gibbs", "--preset", "path:3", "--beta", "2"],
+    ],
+)
+def test_absurd_cutoffs_fail_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--cutoff", "1e400")
+    assert time.perf_counter() - start < 5
+    assert code == cli.EXIT_COMPUTATION
+    assert out == ""
+    assert f"{10**400} scaled weight levels exceed the limit {MAX_LEVELS}" in err
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 import qlo.growth
 
 from qlo import (
+    ComputationError,
     GrowthTable,
     WeightedPolynomial,
+    build_graph,
     clique_polynomial,
     enumerate_up_to,
     growth_table,
@@ -260,6 +262,28 @@ def test_invert_series_requires_unit_constant():
         invert_series(WeightedPolynomial({Fraction(0): 2}), 3)
     with pytest.raises(ValueError):
         invert_series(WeightedPolynomial({Fraction(1): 1}), 3)
+
+
+def test_level_cap_refuses_absurd_cutoffs():
+    # a weight-1/2 letter puts floor(cutoff * 2) scaled levels below the cutoff
+    g = build_graph("ab", {"a": Fraction(1, 2), "b": 1}, [])
+    cap = qlo.growth.MAX_LEVELS
+    assert ComputationError is qlo.thermo.ComputationError is qlo.growth.ComputationError
+    over = Fraction(cap + 1, 2)
+    for call in (
+        lambda: growth_table(g, over),
+        lambda: enumerate_up_to(g, over),
+        lambda: invert_series(clique_polynomial(g), over),
+        lambda: growth_table(g, Fraction("1e400")),
+    ):
+        with pytest.raises(ComputationError, match=f"levels exceed the limit {cap}"):
+            call()
+    with pytest.raises(ComputationError, match=f"^{cap + 1} scaled weight levels"):
+        growth_table(g, over)
+    # exactly at the cap a one-letter monoid counts its cap + 1 levels
+    one = build_graph("a", 1, [])
+    assert growth_table(one, cap).total() == cap + 1
+    assert len(invert_series(clique_polynomial(one), cap).terms) == cap + 1
 
 
 # -- inversion formula ------------------------------------------------------------

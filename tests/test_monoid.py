@@ -36,6 +36,7 @@ from conftest import (
     divides_by_word_search,
     make_free2,
     make_path3,
+    one_blocker_words,
     random_graph,
     weighted_graphs,
 )
@@ -201,10 +202,11 @@ def test_multiply_spells_the_concatenation(case):
         assert flat in commutation_class(graph, u + v)
 
 
-@settings(deadline=None, max_examples=60)
-@given(weighted_graph_and_words([3, 3, 2]), st.booleans())
+@settings(deadline=None, max_examples=120)
+@given(st.one_of(weighted_graph_and_words([3, 3, 2]), one_blocker_words()), st.booleans())
 def test_divides_matches_word_search_weighted(case, extend):
-    # x is p times a word half of the time, so that both answers occur
+    # x is p times a word half of the time, so that both answers occur; the
+    # second strategy builds x around a letter that one letter below blocks
     graph, u, v, w = case
     p = normalize(graph, u)
     x = normalize(graph, u + v if extend else v + w)

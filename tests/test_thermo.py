@@ -183,6 +183,28 @@ def test_partition_function_truncated():
         previous = trunc
 
 
+def test_truncated_sum_past_float_range():
+    # path:3 has 2^(n+1) - 1 traces of weight n: from n = 1023 on a count is
+    # past float range while its term at beta = 0.7, about 2*exp(-0.0069n), is not
+    ctx = ThermoContext(make_path3())
+    beta, cutoff = 0.7, 1100
+    z_w = partition_function(ctx, beta, "truncated", cutoff=cutoff)
+    z_closed = partition_function(ctx, beta)
+    # Q(exp(-0.7)) is about 3.4e-3, so the float Z_closed = 1/Q loses about
+    # three digits to cancellation; the tail bound itself is tight
+    slack = 1e-12 * z_closed
+    assert z_closed - tail_mass(ctx, beta, cutoff) - slack <= z_w <= z_closed + slack
+    with localcontext() as dec:
+        dec.prec = 50
+        t = Decimal(-beta).exp()
+        exact = sum((2 ** (n + 1) - 1) * t**n for n in range(cutoff + 1))
+    assert abs(Decimal(z_w) / exact - 1) <= Decimal("1e-13")
+    # where every count is a float the sum is the plain one, term for term
+    table = ctx.growth(1000)
+    plain = sum(float(n) * math.exp(-beta * float(w)) for w, n in table.rows)
+    assert partition_function(ctx, beta, "truncated", cutoff=1000) == plain
+
+
 def test_partition_function_monotone_decreasing_in_beta():
     ctx = ThermoContext(make_path3())
     grid = [ctx.beta_c + 0.05 * k for k in range(1, 40)]
