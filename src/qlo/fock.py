@@ -174,9 +174,11 @@ def build_rep(graph, cutoff, thermo=None):
     above MAX_BASIS_DIM raises ComputationError instead of being enumerated."""
     if thermo is not None and thermo.graph != graph:
         raise MismatchedGraphError("thermo context lives over another graph")
-    dim = (thermo.growth(cutoff) if thermo else growth_table(graph, cutoff)).total()
+    dim = growth_table(graph, cutoff).total()
     if dim > MAX_BASIS_DIM:
-        raise ComputationError(f"basis dimension {dim} exceeds the limit {MAX_BASIS_DIM}")
+        # no int-to-str limit is below 640 digits, so a longer count is shown by its bits
+        shown = dim if dim < 10**600 else f"at least 2^{dim.bit_length() - 1}"
+        raise ComputationError(f"basis dimension {shown} exceeds the limit {MAX_BASIS_DIM}")
     return TruncatedRep(graph, Fraction(cutoff), enumerate_up_to(graph, cutoff), thermo)
 
 

@@ -235,31 +235,39 @@ class InversionReport:
 # -- clique structure --------------------------------------------------------
 
 
+def _clique_table(graph):
+    """(block masks, scaled weights) of the nonempty cliques, enumerated once
+    per graph and kept in ``graph._cliques``."""
+    if graph._cliques is None:
+        dep = graph._dep
+        out = []
+
+        def grow(members, candidates):
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                block = members | low
+                out.append(block)
+                grow(block, candidates & ~dep[low.bit_length() - 1])
+
+        grow(0, (1 << len(dep)) - 1)
+        graph._cliques = tuple(out), tuple(_block_weight(graph, b) for b in out)
+    return graph._cliques
+
+
 def _cliques(graph, include_empty=False):
     """All cliques of the commutation graph, as block masks."""
-    dep = graph._dep
-    out = [0] if include_empty else []
-
-    def grow(members, candidates):
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            block = members | low
-            out.append(block)
-            grow(block, candidates & ~dep[low.bit_length() - 1])
-
-    grow(0, (1 << len(dep)) - 1)
-    return out
+    return ((0,) if include_empty else ()) + _clique_table(graph)[0]
 
 
-def _successors(graph, cliques):
-    """succ[i] = indices of cliques allowed directly after clique i."""
-    succ = []
-    for b in cliques:
-        # every letter of the next block must depend on some letter of b
-        reach = _dependents(graph._dep, b)
-        succ.append([j for j, c in enumerate(cliques) if not c & ~reach])
-    return succ
+def _successors(graph):
+    """succ[i] = indices of cliques allowed directly after clique i, kept on the graph."""
+    if graph._succ is None:
+        cliques = _cliques(graph)
+        # every letter of a successor depends on some letter of clique i
+        reach = [_dependents(graph._dep, b) for b in cliques]
+        graph._succ = [[j for j, c in enumerate(cliques) if not c & ~r] for r in reach]
+    return graph._succ
 
 
 def enumerate_up_to(graph, cutoff):
@@ -272,11 +280,10 @@ def enumerate_up_to(graph, cutoff):
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     top = _top_level(cutoff, graph.scale)
-    cliques = _cliques(graph)
-    weights = [_block_weight(graph, b) for b in cliques]
+    cliques, weights = _clique_table(graph)
     sizes = [b.bit_count() for b in cliques]
     names = [".".join(_letters(graph, b)) for b in cliques]
-    succ = _successors(graph, cliques)
+    succ = _successors(graph)
     # levels[w]: (serialized form, masks, last clique, length) at scaled weight w
     levels = [[] for _ in range(top + 1)]
     for i, w in enumerate(weights):
@@ -301,35 +308,44 @@ def enumerate_up_to(graph, cutoff):
 def growth_table(graph, cutoff):
     """Element counts per weight level via the successor-block transfer DP.
 
-    ends[w][j] counts the block sequences of scaled weight w ending in clique
-    j, and slot `start` the empty one; it sums ends[w - w(j)] over the slots j
-    may follow.  j may follow itself, so each itemgetter returns a tuple."""
+    The graph keeps the longest count list made so far: a cutoff at or below
+    it is served by truncating that list, and only a larger one counts again."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     top = _top_level(cutoff, graph.scale)
-    cliques = _cliques(graph)
-    weights = [_block_weight(graph, b) for b in cliques]
-    start = len(cliques)
-    pred = [[start] for _ in cliques]
-    for i, succ in enumerate(_successors(graph, cliques)):
-        for j in succ:
+    if graph._counts is None or len(graph._counts) <= top:
+        graph._counts = _count(graph, top)
+    table = GrowthTable.__new__(GrowthTable)
+    table._series, table.cutoff = _poly(graph._counts[: top + 1], graph.scale), cutoff
+    return table
+
+
+def _count(graph, top):
+    """Element counts at the scaled levels 0..top, a list of top + 1 ints.
+
+    ends[w][j] counts the block sequences of scaled weight w ending in clique
+    j, and slot `start` the empty one; it sums ends[w - w(j)] over the slots j
+    may follow.  j may follow itself, so each itemgetter returns a tuple."""
+    weights = _clique_table(graph)[1]
+    start = len(weights)
+    pred = [[start] for _ in weights]
+    for i, after in enumerate(_successors(graph)):
+        for j in after:
             pred[j].append(i)
     pad = max(weights)  # ends[pad + w] is level w; the levels below 0 are empty
     ends = [[0] * (start + 1)] * pad + [[0] * start + [1]]
     pulls = [(itemgetter(*p), pad - w) for p, w in zip(pred, weights)]
     for w in range(1, top + 1):
         ends.append([sum(get(ends[w + shift])) for get, shift in pulls] + [0])
-    table = GrowthTable.__new__(GrowthTable)
-    table._series, table.cutoff = _poly([sum(level) for level in ends[pad:]], graph.scale), cutoff
-    return table
+    return [sum(level) for level in ends[pad:]]
 
 
 def clique_polynomial(graph):
     """Alternating clique sum: coefficient (-1)^|F| at exponent w(F)."""
-    coeffs = [0] * (sum(graph._w) + 1)
-    for block in _cliques(graph, include_empty=True):
-        coeffs[_block_weight(graph, block)] += -1 if block.bit_count() & 1 else 1
+    coeffs = [1] + [0] * sum(graph._w)
+    for block, w in zip(*_clique_table(graph)):
+        coeffs[w] += -1 if block.bit_count() & 1 else 1
     return _poly(coeffs, graph.scale)
 
 

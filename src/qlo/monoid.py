@@ -81,7 +81,12 @@ def _as_weight(value, generator):
 
 
 class IndependenceGraph:
-    """Commutation graph: vertices generate, edges mean 'these commute'."""
+    """Commutation graph: vertices generate, edges mean 'these commute'.
+
+    Immutable, so what derives from it is kept once made: the identity trace,
+    the hash and, for ``qlo.growth``, the clique masks with their scaled weights
+    (``_cliques``), the successor lists (``_succ``) and the longest growth count
+    so far (``_counts``), which serves every cutoff at or below its own."""
 
     __slots__ = (
         "generators",
@@ -93,6 +98,9 @@ class IndependenceGraph:
         "_scale",
         "_identity",
         "_hash",
+        "_cliques",
+        "_succ",
+        "_counts",
     )
 
     def __init__(self, generators, weights, edges=()):
@@ -138,8 +146,8 @@ class IndependenceGraph:
         self._dep = tuple(dep)
         self._w = tuple(int(table[s] * scale) for s in gens)
         self._scale = scale
-        self._identity = None
-        self._hash = None
+        self._identity = self._hash = None
+        self._cliques = self._succ = self._counts = None
 
     # -- basic queries -------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Exact real-root isolation for integer polynomials on (0, 1].
 
-Polynomial arithmetic is integer-only; Fraction appears only in interval
-endpoints.  Signs at a rational a/b come from the integer b**n * p(a/b);
-Yun's algorithm finds the squarefree factors with a primitive-remainder-
-sequence gcd and exact integer division, so multiple roots are located once
-and reported with their multiplicity; isolation is Descartes/bisection
-(variation counts after the Moebius substitution x -> 1/(1+x)).
+Polynomial arithmetic is integer-only.  Signs at a rational a/b come from
+the integer b**n * p(a/b); Yun's algorithm finds the squarefree factors
+with a primitive-remainder-sequence gcd and exact integer division, so
+multiple roots are located once and reported with their multiplicity;
+isolation is Descartes/bisection (variation counts after the Moebius
+substitution x -> 1/(1+x)).  Isolation and refinement run on integer
+numerators over a doubling denominator; Fraction appears only in the
+interval endpoints they return.
 Coefficient lists are ascending: coeffs[k] is the coefficient of x**k.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "sign_at",
@@ -34,15 +36,18 @@ def _trim(coeffs):
     return out
 
 
-def sign_at(coeffs, x):
-    """Sign of p(x) at a rational x = a/b, from b**n * p(a/b) by Horner."""
-    a, b = x.numerator, x.denominator
-    acc = 0
-    b_power = 1
+def _sign(coeffs, a, b):
+    """Sign of b**n * p(a/b), n = deg p, by integer Horner; b > 0."""
+    acc, b_power = 0, 1
     for c in reversed(coeffs):
         acc = acc * a + c * b_power
         b_power *= b
     return (acc > 0) - (acc < 0)
+
+
+def sign_at(coeffs, x):
+    """Sign of p(x) at a rational x."""
+    return _sign(coeffs, x.numerator, x.denominator)
 
 
 def _derivative(coeffs):
@@ -158,61 +163,65 @@ def isolate_01(coeffs):
         raise ValueError("root at 1; divide out (x - 1) first")
     n = len(coeffs) - 1
     found = []
-    work = [(Fraction(0), Fraction(1), list(coeffs))]
+    # (c, den, p): p on (0, 1) stands for coeffs on (c/den, (c+1)/den)
+    work = [(0, 1, list(coeffs))]
     while work:
-        lo, hi, p = work.pop()
+        c, den, p = work.pop()
         v = _variations_01(p)
         if v == 0:
             continue
         if v == 1:
-            found.append((lo, hi))
+            found.append((Fraction(c, den), Fraction(c + 1, den)))
             continue
-        mid = (lo + hi) / 2
         # left half: q(x) = 2^n p(x/2); right half: shift the left by one
-        left = [c * 2 ** (n - k) for k, c in enumerate(p)]
+        left = [a * 2 ** (n - k) for k, a in enumerate(p)]
         right = _taylor_shift_1(left)
         if right[0] == 0:
             # the midpoint is a root: record it and strip it from both
             # halves so no local polynomial ever vanishes at an endpoint
-            found.append((mid, mid))
+            found.append((Fraction(2 * c + 1, 2 * den),) * 2)
             right = right[1:]
             left = _exact_div(left, [-1, 1])
-        work.append((lo, mid, left))
-        work.append((mid, hi, right))
+        work.append((2 * c, 2 * den, left))
+        work.append((2 * c + 1, 2 * den, right))
     found.sort(key=lambda iv: iv[0])
     return found
 
 
 def halvings(coeffs, lo, hi):
-    """Yield an isolating interval, then its successive halves, one exact
-    sign per halving; a root hit at a dyadic point ends it with lo == hi."""
-    if lo != hi:
-        slo = sign_at(coeffs, lo)
-        shi = sign_at(coeffs, hi)
+    """Yield an isolating interval [lo, hi], then its successive halves, as
+    integer triples (lo_num, hi_num, den) over a denominator that doubles at
+    each step; one exact sign per halving, and a root hit at a dyadic point
+    ends it with lo_num == hi_num."""
+    den = lcm(lo.denominator, hi.denominator)
+    ln, hn = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    if ln != hn:
+        slo, shi = _sign(coeffs, ln, den), _sign(coeffs, hn, den)
         if slo == 0:
-            hi = lo
+            hn = ln
         elif shi == 0:
-            lo = hi
+            ln = hn
         elif slo == shi:
             raise ValueError("interval does not bracket a sign change")
-    yield lo, hi
-    while lo != hi:
-        mid = (lo + hi) / 2
-        smid = sign_at(coeffs, mid)
+    yield ln, hn, den
+    while ln != hn:
+        mid, ln, hn, den = ln + hn, 2 * ln, 2 * hn, 2 * den
+        smid = _sign(coeffs, mid, den)
         if smid == 0:
-            lo = hi = mid
+            ln = hn = mid
         elif smid == slo:
-            lo = mid
+            ln = mid
         else:
-            hi = mid
-        yield lo, hi
+            hn = mid
+        yield ln, hn, den
 
 
 def refine(coeffs, lo, hi, max_width):
     """Shrink a (lo, hi) isolating interval by exact-sign bisection."""
-    for lo, hi in halvings(coeffs, lo, hi):
-        if hi - lo <= max_width:
-            return lo, hi
+    width = Fraction(max_width)
+    for ln, hn, den in halvings(coeffs, lo, hi):
+        if (hn - ln) * width.denominator <= width.numerator * den:
+            return Fraction(ln, den), Fraction(hn, den)
 
 
 @dataclass(frozen=True)
@@ -241,13 +250,10 @@ def roots_in_unit_interval(coeffs):
     if len(coeffs) <= 1:
         return []
     roots = []
-    one = Fraction(1)
     for multiplicity, factor in squarefree_decomposition(coeffs):
         body = list(factor)
         if sum(body) == 0:  # factor(1) == 0; squarefree, so exactly once
-            roots.append(
-                IsolatedRoot(one, one, multiplicity, tuple(factor))
-            )
+            roots.append(IsolatedRoot(Fraction(1), Fraction(1), multiplicity, tuple(factor)))
             body = _exact_div(body, [-1, 1])
         if len(body) > 1 and body[0] != 0:
             intervals = isolate_01(body)
@@ -256,24 +262,18 @@ def roots_in_unit_interval(coeffs):
             deflated = body
             for lo, hi in intervals:
                 if lo == hi:
-                    deflated = _exact_div(
-                        deflated, [-lo.numerator, lo.denominator]
-                    )
+                    deflated = _exact_div(deflated, [-lo.numerator, lo.denominator])
             for lo, hi in intervals:
                 owner = body if lo == hi else deflated
-                roots.append(
-                    IsolatedRoot(lo, hi, multiplicity, tuple(owner))
-                )
+                roots.append(IsolatedRoot(lo, hi, multiplicity, tuple(owner)))
     # shrink until intervals are pairwise disjoint so ordering is certified
     width = Fraction(1, 2**20)
     while True:
-        refined = []
-        for r in roots:
-            lo, hi = refine(list(r.factor), r.lo, r.hi, width)
-            refined.append(IsolatedRoot(lo, hi, r.multiplicity, r.factor))
-        refined.sort(key=lambda r: (r.lo, r.hi))
-        overlap = any(a.hi > b.lo for a, b in zip(refined, refined[1:]))
-        if not overlap:
-            return refined
-        roots = refined
+        roots = sorted(
+            (IsolatedRoot(*refine(list(r.factor), r.lo, r.hi, width), r.multiplicity, r.factor)
+             for r in roots),
+            key=lambda r: (r.lo, r.hi),
+        )
+        if all(a.hi <= b.lo for a, b in zip(roots, roots[1:])):
+            return roots
         width /= 2**10

@@ -6,8 +6,9 @@ smallest root of the clique polynomial in (0, 1].  Roots are located by
 exact integer sign evaluation and bisection on the rescaled exponent
 lattice, so beta_c = 0 is returned exactly (never as a small float) and the
 smallest-root claim is certified by the isolation itself.  The polynomial
-arithmetic behind this is integer-only; Fraction appears only at the
-endpoints of the isolating intervals.  Equilibrium values on starred
+arithmetic and the refinement behind this run on integers, the refinement
+on numerators over a doubling denominator; Fraction appears only in the
+interval endpoints it returns.  Equilibrium values on starred
 monomials are evaluated symbolically in the exponent, which makes the
 twisted-trace identity an exact, beta-independent check.
 """
@@ -15,7 +16,7 @@ twisted-trace identity an exact, beta-independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import rootiso
@@ -80,17 +81,12 @@ class ThermoContext:
         self._coeffs = self.clique_poly.integer_coefficients()
         self._roots = rootiso.roots_in_unit_interval(self._coeffs)
         self.tol = tol
-        self._tables = {}
         self._refined = {}  # (isolated root, tol) -> refined (lo, hi)
         self.beta_c = beta_critical(self, tol)
 
     def growth(self, cutoff):
-        cutoff = Fraction(cutoff)
-        table = self._tables.get(cutoff)
-        if table is None:
-            table = growth_table(self.graph, cutoff)
-            self._tables[cutoff] = table
-        return table
+        """The growth table to the cutoff, counted once per graph."""
+        return growth_table(self.graph, cutoff)
 
     def smallest_root(self):
         """Isolated smallest root of the clique polynomial in (0, 1], in the
@@ -117,9 +113,9 @@ def _refine_root(ctx, root, tol):
     """Shrink an isolated root until its beta window is below tol, once per tol."""
     if (root, tol) not in ctx._refined:
         d = ctx.clique_poly.scale
-        for lo, hi in rootiso.halvings(list(root.factor), root.lo, root.hi):
-            if not (lo != hi and d * float((hi - lo) / lo) > tol / 2):
-                ctx._refined[root, tol] = lo, hi
+        for ln, hn, den in rootiso.halvings(list(root.factor), root.lo, root.hi):
+            if not (ln != hn and d * ((hn - ln) / ln) > tol / 2):
+                ctx._refined[root, tol] = Fraction(ln, den), Fraction(hn, den)
                 break
     return ctx._refined[root, tol]
 
@@ -148,9 +144,7 @@ def beta_critical_limsup_estimate(ctx, cutoff):
     """Finite-cutoff growth-rate estimate log(#elements)/max weight."""
     table = ctx.growth(cutoff)
     if len(table) < 2:
-        raise InsufficientDataError(
-            "need at least two weight levels below the cutoff"
-        )
+        raise InsufficientDataError("need at least two weight levels below the cutoff")
     return math.log(table.total()) / float(table.max_weight)
 
 
@@ -183,37 +177,21 @@ def clique_roots_in_unit_interval(ctx, tol):
     if not tol > 0:
         raise ValueError("tol must be positive")
     d = ctx.clique_poly.scale
-    estimates = []
+    merged = []
     for root in ctx._roots:
         lo, hi = _refine_root(ctx, root, tol)
         t_lo, t_hi = lo**d, hi**d
-        estimates.append(
-            RootEstimate(
-                value=float((t_lo + t_hi) / 2),
-                multiplicity=root.multiplicity,
-                is_exact=lo == hi,
-                t_lo=t_lo,
-                t_hi=t_hi,
-            )
-        )
-    merged = []
-    for est in estimates:
+        est = RootEstimate(float((t_lo + t_hi) / 2), root.multiplicity, lo == hi, t_lo, t_hi)
         if merged and est.value - merged[-1].value < 2 * tol:
             prev = merged[-1]
-            merged[-1] = RootEstimate(
-                value=prev.value,
-                multiplicity=prev.multiplicity + est.multiplicity,
-                is_exact=prev.is_exact and est.is_exact,
-                t_lo=prev.t_lo,
-                t_hi=est.t_hi,
-                merged=True,
+            merged[-1] = replace(
+                prev, multiplicity=prev.multiplicity + est.multiplicity,
+                is_exact=prev.is_exact and est.is_exact, t_hi=est.t_hi, merged=True,
             )
         else:
             merged.append(est)
     roots = tuple(merged)
-    subcritical = tuple(
-        r for r in roots[1:] if r.value < 1 and r.t_hi < 1
-    )
+    subcritical = tuple(r for r in roots[1:] if r.value < 1 and r.t_hi < 1)
     return RootsReport(roots=roots, subcritical=subcritical)
 
 
@@ -226,9 +204,7 @@ def partition_function(ctx, beta, method="closed", cutoff=None):
     """
     if method == "closed":
         if not beta > ctx.beta_c:
-            raise ComputationError(
-                f"closed form needs beta > beta_c = {ctx.beta_c:.12g}"
-            )
+            raise ComputationError(f"closed form needs beta > beta_c = {ctx.beta_c:.12g}")
         value = ctx.clique_poly.evaluate(math.exp(-beta))
         if value <= 0:
             raise ComputationError(
@@ -258,9 +234,7 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     computed at `cutoff`; V defaults to it.
     """
     if not beta > ctx.beta_c:
-        raise ComputationError(
-            f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}"
-        )
+        raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
     bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
     # Q and the growth counts as integer lists on one lattice (1/d)*Z
     d, q, a = ctx.clique_poly._common(ctx.growth(max(Fraction(cutoff), bound))._series)

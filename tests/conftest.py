@@ -5,7 +5,8 @@ normal forms (``commutation_class``), BFS over right multiplication for
 enumeration (``bfs_traces_up_to``), factorization search for divisibility
 (``divides_by_word_search``), a subset scan for cliques
 (``cliques_by_subset_scan``), rational Horner evaluation for polynomial signs
-(``fraction_horner``), the closed-form weight counts of path:3 for its
+(``fraction_horner``), bisection on Fraction endpoints for root refinement
+(``fraction_halvings``), the closed-form weight counts of path:3 for its
 growth-series tail (``path3_relative_tail``), and Fraction-keyed clique sums
 and series recurrences for L2 (``reference_clique_terms``,
 ``reference_inverse_terms``).  The oracles that ``qlo
@@ -222,6 +223,38 @@ def fraction_horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def fraction_halvings(coeffs, lo, hi):
+    """Exact-sign bisection on Fraction endpoints, signs by fraction_horner.
+
+    Yields the isolating interval (lo, hi), then its successive halves; a
+    root hit at a dyadic point ends it with lo == hi.
+    """
+
+    def sign(x):
+        value = fraction_horner(coeffs, x)
+        return (value > 0) - (value < 0)
+
+    if lo != hi:
+        slo, shi = sign(lo), sign(hi)
+        if slo == 0:
+            hi = lo
+        elif shi == 0:
+            lo = hi
+        elif slo == shi:
+            raise ValueError("interval does not bracket a sign change")
+    yield lo, hi
+    while lo != hi:
+        mid = (lo + hi) / 2
+        smid = sign(mid)
+        if smid == 0:
+            lo = hi = mid
+        elif smid == slo:
+            lo = mid
+        else:
+            hi = mid
+        yield lo, hi
 
 
 def path3_relative_tail(beta, cutoff):

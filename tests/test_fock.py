@@ -4,6 +4,8 @@ import cmath
 import itertools
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from qlo import (
     nica_check,
     normalize,
     partition_function,
+    preset_graph,
     range_projection,
     tail_mass,
     vacuum_projection,
@@ -102,6 +105,27 @@ def test_build_rep_takes_a_thermo_context():
     assert build_rep(g, 2).thermo() is not ctx
     with pytest.raises(MismatchedGraphError):
         build_rep(make_free2(), 2, thermo=ctx)
+
+
+def test_build_rep_guard_past_the_int_to_str_limit():
+    # free:9 at cutoff 4600 has a dimension of 4,390 digits, past the default
+    # limit of 4,300; at 700 it has 669 digits, past the lowest limit of 640
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    before = sys.get_int_max_str_digits()
+    limit_message = f"exceeds the limit {qlo.fock.MAX_BASIS_DIM}$"
+    for cutoff, limit in ((4600, 4300), (700, 640)):
+        sys.set_int_max_str_digits(limit)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ComputationError, match=limit_message):
+                build_rep(preset_graph("free:9"), cutoff)
+            assert time.perf_counter() - start < 5
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(before)
+    with pytest.raises(ComputationError, match="^basis dimension 1111111111 exceeds"):
+        build_rep(preset_graph("free:10"), 9)
 
 
 def test_basis_starts_at_identity_and_is_downward_closed():

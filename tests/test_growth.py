@@ -12,8 +12,10 @@ import qlo.growth
 from qlo import (
     ComputationError,
     GrowthTable,
+    ThermoContext,
     WeightedPolynomial,
     build_graph,
+    build_rep,
     clique_polynomial,
     enumerate_up_to,
     growth_table,
@@ -137,6 +139,45 @@ def test_growth_table_rational_levels():
         (Fraction(7, 2), 1),
         (Fraction(4), 2),
     ]
+
+
+def _table_view(table):
+    return table.rows, table.cutoff, len(table), table.max_weight, table.total()
+
+
+def test_one_graph_runs_the_growth_count_once(monkeypatch):
+    real, runs = qlo.growth._count, []
+    monkeypatch.setattr(qlo.growth, "_count", lambda g, top: runs.append(top) or real(g, top))
+    graph = make_path3()
+    table = growth_table(graph, 6)
+    assert verify_inversion(graph, 6).match
+    ctx = ThermoContext(graph)
+    assert _table_view(ctx.growth(6)) == _table_view(table)
+    assert build_rep(graph, 5, thermo=ctx).dim == ctx.growth(5).total() == 2**7 - 8
+    assert runs == [6]
+
+
+@pytest.mark.parametrize("make", [make_path3, make_weighted_abelian2, make_free3])
+def test_growth_table_truncates_the_largest_count(make):
+    graph = make()
+    growth_table(graph, 9)
+    # 1/2 lies below every weight; 5/4 and 13/4 lie between levels
+    for cutoff in (0, Fraction(1, 2), 1, Fraction(5, 4), Fraction(3, 2), Fraction(13, 4), 9):
+        got = growth_table(graph, cutoff)
+        assert _table_view(got) == _table_view(growth_table(make(), cutoff))
+        reference = reference_inverse_terms(reference_clique_terms(graph), cutoff)
+        assert got.rows == sorted(reference.items())
+
+
+def test_growth_table_counts_again_above_the_largest_count(monkeypatch):
+    real, runs = qlo.growth._count, []
+    monkeypatch.setattr(qlo.growth, "_count", lambda g, top: runs.append(top) or real(g, top))
+    graph = make_weighted_abelian2()  # scale 2: cutoff c is level floor(2c)
+    cutoffs = (3, Fraction(7, 2), Fraction(13, 4), 5, 2)
+    tables = [growth_table(graph, cutoff) for cutoff in cutoffs]
+    assert runs == [6, 7, 10]
+    for cutoff, table in zip(cutoffs, tables):
+        assert _table_view(table) == _table_view(growth_table(make_weighted_abelian2(), cutoff))
 
 
 # -- clique polynomial -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact root isolation: known polynomials, multiplicities, tight clusters."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlo import rootiso
-from conftest import fraction_horner
+from conftest import fraction_halvings, fraction_horner
 
 
 def poly(*coeffs):
@@ -181,3 +182,39 @@ def test_integer_l3_on_products_of_linear_factors(factors, quadratic, points):
     for r, k in roots.items():
         (owner,) = [x for x in reported if x.lo <= r <= x.hi]
         assert owner.multiplicity == k
+
+
+def _bisection_steps(halvings, n=48):
+    """The first n intervals a bisection generator yields, or its error."""
+    try:
+        return list(itertools.islice(halvings, n))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(linear_factors, quadratics, st.integers(0, 40))
+def test_integer_halvings_match_the_fraction_bisection(factors, quadratic, bits):
+    p = quadratic
+    for a, b, k in factors:
+        for _ in range(k):
+            p = times(p, [-a, b])
+    # isolating intervals of the squarefree part, then intervals with
+    # non-dyadic ends around each root; even multiplicities do not bracket
+    squarefree = quadratic
+    for a, b, _ in factors:
+        squarefree = times(squarefree, [-a, b])
+    intervals = rootiso.isolate_01(squarefree)
+    for a, b, _ in factors:
+        intervals.append((Fraction(7 * a - 1, 7 * b), Fraction(5 * a + 1, 5 * b)))
+    width = Fraction(1, 2**bits)
+    for lo, hi in intervals:
+        got = _bisection_steps(rootiso.halvings(p, lo, hi))
+        want = _bisection_steps(fraction_halvings(p, lo, hi))
+        if isinstance(got, list):
+            assert all(d2 == 2 * d1 for (_, _, d1), (_, _, d2) in zip(got, got[1:]))
+            got = [(Fraction(ln, d), Fraction(hn, d)) for ln, hn, d in got]
+        assert got == want
+        if isinstance(want, list):
+            refined = next(iv for iv in fraction_halvings(p, lo, hi) if iv[1] - iv[0] <= width)
+            assert rootiso.refine(p, lo, hi, width) == refined
