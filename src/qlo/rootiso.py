@@ -1,86 +1,71 @@
 """Exact real-root isolation for integer polynomials on (0, 1].
 
-Polynomial arithmetic is integer-only.  Signs at a rational a/b come from
-the integer b**n * p(a/b); Yun's algorithm finds the squarefree factors
-with a primitive-remainder-sequence gcd and exact integer division, so
-multiple roots are located once and reported with their multiplicity;
-isolation is Descartes/bisection (variation counts after the Moebius
-substitution x -> 1/(1+x)).  Isolation and refinement run on integer
-numerators over a doubling denominator; Fraction appears only in the
-interval endpoints they return.
-Coefficient lists are ascending: coeffs[k] is the coefficient of x**k.
+Coefficient lists are ascending at the API (coeffs[k] multiplies x**k);
+inside, a polynomial is its nonzero terms (e, c), and the sign of p at n/d is
+that of the integer sum of c * n**e * d**(top - e).  Isolation is Rolle
+recursion on these sparse terms, so its work follows their number, not the
+degree: the roots of x**(1 - e1) * p', one term fewer, cut (0, 1] into pieces
+on which p is monotone, down to where Descartes' rule of signs allows one
+positive root.  Each loop stops at a step limit from its inputs and raises
+ArithmeticError there.  Fraction appears only in the endpoints returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 
 __all__ = [
     "sign_at",
-    "squarefree_decomposition",
-    "isolate_01",
     "halvings",
-    "refine",
     "IsolatedRoot",
     "roots_in_unit_interval",
 ]
 
 
-def _trim(coeffs):
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _terms(coeffs):
+    return [(e, c) for e, c in enumerate(coeffs) if c]
 
 
-def _sign(coeffs, a, b):
-    """Sign of b**n * p(a/b), n = deg p, by integer Horner; b > 0."""
-    acc, b_power = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * a + c * b_power
-        b_power *= b
-    return (acc > 0) - (acc < 0)
+def _dense(terms):
+    coeffs = dict(terms)
+    return [coeffs.get(e, 0) for e in range(terms[-1][0] + 1)]
+
+
+def _value(terms, n, d):
+    """d**top * p(n/d), top = deg p, by sparse integer Horner; d > 0.
+    With d = odd * 2**k, the powers of a dyadic d are shifts."""
+    if not terms:
+        return 0
+    k = (d & -d).bit_length() - 1
+    odd = d >> k
+    top = prev = terms[-1][0]
+    acc = 0
+    for e, c in reversed(terms):
+        acc = acc * n ** (prev - e) + (c * odd ** (top - e) << k * (top - e))
+        prev = e
+    return acc * n**prev
+
+
+def _sign(terms, n, d):
+    value = _value(terms, n, d)
+    return (value > 0) - (value < 0)
 
 
 def sign_at(coeffs, x):
     """Sign of p(x) at a rational x."""
-    return _sign(coeffs, x.numerator, x.denominator)
-
-
-def _derivative(coeffs):
-    return [k * c for k, c in enumerate(coeffs)][1:]
+    return _sign(_terms(coeffs), x.numerator, x.denominator)
 
 
 def _primitive(coeffs):
-    """Divide out the content, leaving a positive leading coefficient."""
-    coeffs = _trim(coeffs)
-    if not coeffs:
+    """Drop trailing zeros and divide out the content, leaving a positive
+    leading coefficient."""
+    terms = _terms(coeffs)
+    if not terms:
         return []
-    content = gcd(*coeffs)
-    if coeffs[-1] < 0:
-        content = -content
-    return [c // content for c in coeffs]
-
-
-def _exact_div(num, den):
-    """Quotient of integer polynomials whose division leaves no remainder."""
-    rem = _trim(num)
-    top = len(den) - 1
-    quot = [0] * max(len(rem) - top, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        factor, r = divmod(rem[k + top], den[-1])
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[k] = factor
-        if factor:
-            for i, c in enumerate(den):
-                rem[k + i] -= factor * c
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
+    content = gcd(*(c for _, c in terms)) * (1 if terms[-1][1] > 0 else -1)
+    return [c // content for c in _dense(terms)]
 
 
 def _gcd(a, b):
@@ -97,106 +82,15 @@ def _gcd(a, b):
             rem = [c * (b[-1] // g) for c in rem]
             for i, c in enumerate(b):
                 rem[k + i] -= factor * c
-            rem = _trim(rem)
-        a, b = b, _primitive(rem)
+            rem = _primitive(rem)
+        a, b = b, rem
     return a
 
 
-def squarefree_decomposition(coeffs):
-    """Yun's algorithm: list of (multiplicity, primitive squarefree factor).
-
-    Factors of degree zero are dropped; the product of factor**multiplicity
-    recovers the input up to a constant.  Every gcd is primitive, so the
-    divisions by it stay in the integers.
-    """
-    f = _primitive(coeffs)
-    if len(f) <= 1:
-        return []
-    df = _derivative(f)
-    u = _gcd(f, df)
-    v = _exact_div(f, u)
-    w = _exact_div(df, u)
-    out = []
-    i = 1
-    while len(v) > 1:
-        dv = _derivative(v)
-        s = [x - y for x, y in zip_longest(w, dv, fillvalue=0)]
-        g = _gcd(v, s)
-        if len(g) > 1:
-            out.append((i, g))
-        v = _exact_div(v, g)
-        w = _exact_div(s, g)
-        i += 1
-    return out
-
-
-def _taylor_shift_1(coeffs):
-    """p(x) -> p(x + 1), integer arithmetic."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += out[j + 1]
-    return out
-
-
-def _variations(coeffs):
-    signs = [c > 0 for c in coeffs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _variations_01(coeffs):
-    """Descartes bound for the number of roots in the open interval (0, 1)."""
-    return _variations(_taylor_shift_1(list(reversed(coeffs))))
-
-
-def isolate_01(coeffs):
-    """Isolating intervals for the roots of a squarefree poly in (0, 1).
-
-    Returns a list of (lo, hi) Fractions; lo == hi marks an exact rational
-    root.  Requires p(0) != 0 and p(1) != 0.
-    """
-    coeffs = _trim(coeffs)
-    if not coeffs or coeffs[0] == 0:
-        raise ValueError("zero constant term; strip roots at 0 first")
-    if sum(coeffs) == 0:
-        raise ValueError("root at 1; divide out (x - 1) first")
-    n = len(coeffs) - 1
-    found = []
-    # (c, den, p): p on (0, 1) stands for coeffs on (c/den, (c+1)/den)
-    work = [(0, 1, list(coeffs))]
-    while work:
-        c, den, p = work.pop()
-        v = _variations_01(p)
-        if v == 0:
-            continue
-        if v == 1:
-            found.append((Fraction(c, den), Fraction(c + 1, den)))
-            continue
-        # left half: q(x) = 2^n p(x/2); right half: shift the left by one
-        left = [a * 2 ** (n - k) for k, a in enumerate(p)]
-        right = _taylor_shift_1(left)
-        if right[0] == 0:
-            # the midpoint is a root: record it and strip it from both
-            # halves so no local polynomial ever vanishes at an endpoint
-            found.append((Fraction(2 * c + 1, 2 * den),) * 2)
-            right = right[1:]
-            left = _exact_div(left, [-1, 1])
-        work.append((2 * c, 2 * den, left))
-        work.append((2 * c + 1, 2 * den, right))
-    found.sort(key=lambda iv: iv[0])
-    return found
-
-
-def halvings(coeffs, lo, hi):
-    """Yield an isolating interval [lo, hi], then its successive halves, as
-    integer triples (lo_num, hi_num, den) over a denominator that doubles at
-    each step; one exact sign per halving, and a root hit at a dyadic point
-    ends it with lo_num == hi_num."""
-    den = lcm(lo.denominator, hi.denominator)
-    ln, hn = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+def _halvings(terms, ln, hn, den):
+    """The bisection behind `halvings`, on the terms of p."""
     if ln != hn:
-        slo, shi = _sign(coeffs, ln, den), _sign(coeffs, hn, den)
+        slo, shi = _sign(terms, ln, den), _sign(terms, hn, den)
         if slo == 0:
             hn = ln
         elif shi == 0:
@@ -206,7 +100,7 @@ def halvings(coeffs, lo, hi):
     yield ln, hn, den
     while ln != hn:
         mid, ln, hn, den = ln + hn, 2 * ln, 2 * hn, 2 * den
-        smid = _sign(coeffs, mid, den)
+        smid = _sign(terms, mid, den)
         if smid == 0:
             ln = hn = mid
         elif smid == slo:
@@ -216,12 +110,85 @@ def halvings(coeffs, lo, hi):
         yield ln, hn, den
 
 
-def refine(coeffs, lo, hi, max_width):
-    """Shrink a (lo, hi) isolating interval by exact-sign bisection."""
-    width = Fraction(max_width)
-    for ln, hn, den in halvings(coeffs, lo, hi):
-        if (hn - ln) * width.denominator <= width.numerator * den:
-            return Fraction(ln, den), Fraction(hn, den)
+def halvings(coeffs, lo, hi):
+    """Yield an isolating interval [lo, hi], then its successive halves, as
+    integer triples (lo_num, hi_num, den) over a denominator that doubles at
+    each step; one exact sign per halving, and a root hit at a dyadic point
+    ends it with lo_num == hi_num."""
+    den = lcm(lo.denominator, hi.denominator)
+    ln, hn = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    return _halvings(_terms(coeffs), ln, hn, den)
+
+
+# A root of one level is a tuple (ln, hn, den, multiplicity, f): [ln/den,
+# hn/den] holds it and no other root of the level, den is a power of two, and
+# f (terms) is simple at it and changes sign across; ln == hn if it is exact.
+
+
+def _critical_sign(p, crit):
+    """Sign of p at the root c of p' that `crit` brackets, and a bracket on
+    which p keeps that sign.  |p(c) - p(x)| <= sup|p''| (c - x)**2 / 2 decides
+    a nonzero sign; after 64 halvings a gcd may find p(c) = 0 instead, and the
+    bracket then comes with that factor, simple at c."""
+    ln, hn, den, mult, f = crit
+    top = p[-1][0]
+    # den**(top-2) * sup|p''| on the bracket, bounded at its right end
+    bound = _value([(e - 2, abs(c) * e * (e - 1)) for e, c in p if e > 1], hn, den)
+    # p(c) != 0 gives |p(c)| >= 1 / (|p|_1**(deg f - 1) * |f|_1**top) by the
+    # resultant with f's factor at c: below that, width**2 * top**2 * |p|_1 decides
+    norm = sum(abs(c) for _, c in p)
+    bits = (f[-1][0] - 1) * norm.bit_length() + top * sum(abs(c) for _, c in f).bit_length()
+    limit = max(64, (bits + (top * top * norm).bit_length()) // 2 + 2)
+    vl = vh = 0
+    for step, (l2, h2, den) in enumerate(_halvings(f, ln, hn, den)):
+        if l2 == h2:
+            return _sign(p, l2, den), (l2, h2, den, mult, f)
+        if step and h2 - l2 != hn - ln:
+            raise ArithmeticError("a halving did not halve the critical bracket")
+        # p at the ends, times den**top; an end that stayed only rescales
+        vl = vl << top if step and l2 == 2 * ln else _value(p, l2, den)
+        vh = vh << top if step and h2 == 2 * hn else _value(p, h2, den)
+        ln, hn = l2, h2
+        slack = (hn - ln) ** 2 * bound << step * (top - 2)
+        if vl * vh > 0 and 2 * max(abs(vl), abs(vh)) > slack:
+            return (vl > 0) - (vl < 0), (ln, hn, den, mult, f)
+        if step == 64:  # still undecided: does p vanish at c too?
+            g = _terms(_gcd(_dense(p), _dense(f)))
+            if g[-1][0] and _sign(g, ln, den) != _sign(g, hn, den):
+                return 0, (ln, hn, den, mult, g)
+        if step == limit:
+            raise ArithmeticError(f"critical bracket undecided after {limit} halvings")
+
+
+def _simplest(ln, hn, den):
+    """The dyadic with the least denominator in [ln/den, hn/den], as (n, d)."""
+    if ln == 0:
+        return 0, 1
+    shift = ((ln - 1) ^ hn).bit_length() - 1
+    return hn >> shift, den >> shift
+
+
+def _rolle(p, critical):
+    """Roots of p in (0, 1] from the roots of p' there, both ascending.
+    Any point of a decided critical bracket can end the monotone pieces on
+    either side of it; the coarsest keeps the numbers small."""
+    roots, a, sa = [], (0, 1), (p[0][1] > 0) - (p[0][1] < 0)
+    if not critical or critical[-1][0] != critical[-1][2]:
+        critical = critical + [(1, 1, 1, 0, None)]  # 1 ends the last piece
+    for crit in critical:
+        if crit[0] == crit[1]:
+            s = _sign(p, crit[0], crit[2])
+        else:
+            s, crit = _critical_sign(p, crit)
+        ln, hn, den, mult, f = crit
+        z = _simplest(ln, hn, den)
+        if s * sa < 0:  # one sign change on the pieces from a to z
+            d = max(a[1], z[1])
+            roots.append((a[0] * (d // a[1]), z[0] * (d // z[1]), d, 1, p))
+        if s == 0:
+            roots.append((ln, hn, den, mult + 1, f))
+        a, sa = z, s
+    return roots
 
 
 @dataclass(frozen=True)
@@ -229,51 +196,79 @@ class IsolatedRoot:
     lo: Fraction
     hi: Fraction
     multiplicity: int
-    factor: tuple  # primitive squarefree factor owning this root
+    factor: tuple  # a factor of the input, simple here, no other root in [lo, hi]
 
     @property
     def exact(self):
         return self.lo == self.hi
 
 
+def _deflate(coeffs, x):
+    """coeffs / (x.denominator * t - x.numerator), for a root x of coeffs."""
+    quot, carry = [], 0
+    for c in reversed(coeffs[1:]):
+        carry = (c + x.numerator * carry) // x.denominator  # exact (Gauss)
+        quot.append(carry)
+    return quot[::-1]
+
+
+def _node(root, level):
+    """The root on the dyadic node of this level that holds it, found by
+    walking down from [0, 2] with its bracket as the guide; a dyadic root the
+    walk meets comes back exact.  An exact root at a node end is divided out."""
+    ln, hn, den, mult, f = root
+    if ln == hn:  # exact: its linear factor
+        f = _terms(_primitive([-ln, den]))
+    sl, a = _sign(f, ln, den), 0
+    for j in range(level + 1):
+        m = 2 * a + 1  # the midpoint of the node, over 2**j
+        below, above = m * den - (ln << j), m * den - (hn << j)
+        inside = above < 0 < below  # the midpoint splits the bracket
+        s = _sign(f, m, 1 << j) if inside else None
+        if below == above == 0 or s == 0:
+            x = Fraction(m, 1 << j)
+            return IsolatedRoot(x, x, mult, (-x.numerator, x.denominator))
+        a = m if (s == sl if inside else below <= 0) else 2 * a
+    lo, hi = Fraction(a, 1 << level), Fraction(a + 1, 1 << level)
+    factor = _dense(f)
+    for end in (lo, hi):
+        while sign_at(factor, end) == 0:
+            factor = _deflate(factor, end)
+    return IsolatedRoot(lo, hi, mult, tuple(factor))
+
+
 def roots_in_unit_interval(coeffs):
     """All real roots in (0, 1] with multiplicities, intervals disjoint.
 
     Roots at 0 are excluded by convention (strip x factors); a root at 1 is
-    returned with the exact interval [1, 1].
+    returned with the exact interval [1, 1].  Each other root sits on the
+    level-20 dyadic node that holds it, or on its level-30, 40, ... node while
+    two roots share a node; a dyadic root met on the way is returned exact.
     """
-    coeffs = _trim(coeffs)
-    if not coeffs:
+    p = _terms(coeffs)
+    if not p:
         raise ValueError("zero polynomial")
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
-        return []
-    roots = []
-    for multiplicity, factor in squarefree_decomposition(coeffs):
-        body = list(factor)
-        if sum(body) == 0:  # factor(1) == 0; squarefree, so exactly once
-            roots.append(IsolatedRoot(Fraction(1), Fraction(1), multiplicity, tuple(factor)))
-            body = _exact_div(body, [-1, 1])
-        if len(body) > 1 and body[0] != 0:
-            intervals = isolate_01(body)
-            # an exact root a/b may sit on a neighbouring interval's endpoint;
-            # divide out (b*x - a) so refinement signs stay honest
-            deflated = body
-            for lo, hi in intervals:
-                if lo == hi:
-                    deflated = _exact_div(deflated, [-lo.numerator, lo.denominator])
-            for lo, hi in intervals:
-                owner = body if lo == hi else deflated
-                roots.append(IsolatedRoot(lo, hi, multiplicity, tuple(owner)))
-    # shrink until intervals are pairwise disjoint so ordering is certified
-    width = Fraction(1, 2**20)
+    p = [(e - p[0][0], c) for e, c in p]
+    tower = [p]
+    while sum(a * b < 0 for (_, a), (_, b) in zip(tower[-1], tower[-1][1:])) > 1:
+        q = tower[-1]
+        content = gcd(*(c * e for e, c in q[1:]))
+        tower.append([(e - q[1][0], c * e // content) for e, c in q[1:]])
+    # at most one sign variation: no positive root, or one simple root
+    q = tower.pop()
+    s1 = _sign(q, 1, 1)
+    found = [(1, 1, 1, 1, q)] if s1 == 0 else [(0, 1, 1, 1, q)] if s1 * q[0][1] < 0 else []
+    while tower:
+        found = _rolle(tower.pop(), found)
+    # a node narrower than the least distance of two roots holds one root, and
+    # Rump (1979) bounds that by 2*sqrt(2) / (n**(n/2 + 2) * (|p|_1 + 1)**n)
+    n = p[-1][0]
+    limit = 20 + n * (n.bit_length() + (sum(abs(c) for _, c in p) + 1).bit_length())
+    level = 20
     while True:
-        roots = sorted(
-            (IsolatedRoot(*refine(list(r.factor), r.lo, r.hi, width), r.multiplicity, r.factor)
-             for r in roots),
-            key=lambda r: (r.lo, r.hi),
-        )
+        roots = sorted((_node(r, level) for r in found), key=lambda r: (r.lo, r.hi))
         if all(a.hi <= b.lo for a, b in zip(roots, roots[1:])):
             return roots
-        width /= 2**10
+        level += 10
+        if level > limit:
+            raise ArithmeticError(f"roots still share a node at level {level}")

@@ -2,15 +2,13 @@
 
 The growth series of the monoid, evaluated at t = exp(-beta), is the
 partition function; its abscissa of convergence beta_c is -log of the
-smallest root of the clique polynomial in (0, 1].  Roots are located by
-exact integer sign evaluation and bisection on the rescaled exponent
-lattice, so beta_c = 0 is returned exactly (never as a small float) and the
-smallest-root claim is certified by the isolation itself.  The polynomial
-arithmetic and the refinement behind this run on integers, the refinement
-on numerators over a doubling denominator; Fraction appears only in the
-interval endpoints it returns.  Equilibrium values on starred
-monomials are evaluated symbolically in the exponent, which makes the
-twisted-trace identity an exact, beta-independent check.
+smallest root of the clique polynomial in (0, 1].  Roots are isolated with
+exact integer signs on the rescaled exponent lattice (`rootiso`) and refined
+by integer bisection, so beta_c = 0 is returned exactly (never as a small
+float) and the smallest-root claim is certified by the isolation itself.
+Equilibrium values on starred monomials are evaluated symbolically in the
+exponent, which makes the twisted-trace identity an exact, beta-independent
+check.
 """
 
 from __future__ import annotations
@@ -113,10 +111,15 @@ def _refine_root(ctx, root, tol):
     """Shrink an isolated root until its beta window is below tol, once per tol."""
     if (root, tol) not in ctx._refined:
         d = ctx.clique_poly.scale
-        for ln, hn, den in rootiso.halvings(list(root.factor), root.lo, root.hi):
+        # the window starts at most tol/2 * ratio and halves; 2 steps cover rounding
+        ratio = 0 if root.exact else 2 * d * (root.hi - root.lo) / (root.lo * Fraction(tol))
+        limit = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 2
+        for step, (ln, hn, den) in enumerate(rootiso.halvings(list(root.factor), root.lo, root.hi)):
             if not (ln != hn and d * ((hn - ln) / ln) > tol / 2):
                 ctx._refined[root, tol] = Fraction(ln, den), Fraction(hn, den)
                 break
+            if step >= limit:
+                raise ArithmeticError(f"root not refined to tol {tol} in {limit} halvings")
     return ctx._refined[root, tol]
 
 

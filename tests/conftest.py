@@ -6,7 +6,9 @@ enumeration (``bfs_traces_up_to``), factorization search for divisibility
 (``divides_by_word_search``), a subset scan for cliques
 (``cliques_by_subset_scan``), rational Horner evaluation for polynomial signs
 (``fraction_horner``), bisection on Fraction endpoints for root refinement
-(``fraction_halvings``), the closed-form weight counts of path:3 for its
+(``fraction_halvings``), Sturm sequences of the squarefree part for root
+counts and multiplicities (``fraction_sturm_count``,
+``fraction_multiplicity``), the closed-form weight counts of path:3 for its
 growth-series tail (``path3_relative_tail``), and Fraction-keyed clique sums
 and series recurrences for L2 (``reference_clique_terms``,
 ``reference_inverse_terms``).  The oracles that ``qlo
@@ -89,14 +91,31 @@ def random_graph(n, seed, edge_probability=0.5, weights=1):
     return build_graph(names, weights, edges)
 
 
+def many_term_graph(seed):
+    """8-11 letters, weights n/scale with scale in {5, 7, 12}, edge chance 0.4:
+    clique polynomials whose number of terms nears their degree."""
+    rng = random.Random(100 + seed)
+    n = rng.randint(8, 11)
+    scale = rng.choice([5, 7, 12])
+    names = "abcdefghijk"[:n]
+    edges = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.4
+    ]
+    weights = {s: Fraction(rng.randint(1, 2 * scale), scale) for s in names}
+    return build_graph(names, weights, edges)
+
+
 @st.composite
-def weighted_graphs(draw, min_letters=3, max_letters=5):
-    """Random commutation graphs with weights n/d in [1/2, 2], d in {1, 2, 3, 4, 6}."""
+def weighted_graphs(draw, min_letters=3, max_letters=5, denominators=(1, 2, 3, 4, 6)):
+    """Random commutation graphs with weights n/d in [1/2, 2], d in `denominators`."""
     names = "abcdef"[: draw(st.integers(min_letters, max_letters))]
     edges = [e for e in itertools.combinations(names, 2) if draw(st.booleans())]
     weights = {}
     for s in names:
-        d = draw(st.sampled_from((1, 2, 3, 4, 6)))
+        d = draw(st.sampled_from(denominators))
         weights[s] = Fraction(draw(st.integers((d + 1) // 2, 2 * d)), d)
     return build_graph(names, weights, edges)
 
@@ -255,6 +274,81 @@ def fraction_halvings(coeffs, lo, hi):
         else:
             hi = mid
         yield lo, hi
+
+
+def _fraction_trim(coeffs):
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _fraction_divmod(a, b):
+    """Quotient and remainder of rational polynomials, b nonzero."""
+    rem = _fraction_trim(a)
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(b) - 1] / b[-1]
+        if quot[k]:
+            for i, c in enumerate(b):
+                rem[k + i] -= quot[k] * c
+    return quot, _fraction_trim(rem)
+
+
+def _positive_multiple(coeffs):
+    """The primitive integer multiple c*p with c > 0; signs stay as they were."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    return [Fraction(c, math.gcd(*ints)) for c in ints]
+
+
+def _fraction_gcd(a, b):
+    a, b = _fraction_trim(a), _fraction_trim(b)
+    while b:
+        rem = _fraction_divmod(a, b)[1]
+        a, b = b, _positive_multiple(rem) if rem else []
+    return [c / a[-1] for c in a]
+
+
+def _fraction_derivative(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
+def fraction_sturm_count(coeffs, lo, hi):
+    """Distinct real roots of p in the open interval (lo, hi), lo < hi.
+
+    Sturm's theorem on the squarefree part s = p / gcd(p, p'): the sign
+    variations of the chain s, s', -rem(s, s'), ... fall by one at each root
+    of s, so V(lo) - V(hi) counts the roots in (lo, hi].
+    """
+    p = _fraction_trim(coeffs)
+    s = _fraction_divmod(p, _fraction_gcd(p, _fraction_derivative(p)))[0]
+    chain = [s, _fraction_derivative(s)]
+    while len(chain[-1]) > 1:
+        rem = _fraction_divmod(chain[-2], chain[-1])[1]
+        chain.append([-c for c in _positive_multiple(rem)] if rem else [])
+
+    def variations(x):
+        signs = [v > 0 for v in (fraction_horner(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) - (fraction_horner(s, hi) == 0)
+
+
+def fraction_multiplicity(coeffs, lo, hi):
+    """Multiplicity of the one distinct root of p in (lo, hi), or of the root
+    at lo when lo == hi: how many of p, p', p'', ... vanish there, asked of
+    gcd(p, p^(k)) by Sturm counts."""
+    p = _fraction_trim(coeffs)
+    q, m = _fraction_derivative(p), 1
+    while True:
+        if lo == hi:
+            vanishes = fraction_horner(q, lo) == 0
+        else:
+            vanishes = fraction_sturm_count(_fraction_gcd(p, q), lo, hi) == 1
+        if not vanishes:
+            return m
+        q, m = _fraction_derivative(q), m + 1
 
 
 def path3_relative_tail(beta, cutoff):

@@ -210,6 +210,30 @@ def test_scale62_cycle_pinned_output(capsys, command, fmt):
     assert out == SCALE62_STDOUT[command, fmt]
 
 
+SCALE582_STDOUT = {
+    ("beta-c", "csv"): "4.84480485034284\n",
+    ("beta-c", "json"): '{\n  "beta_c": 4.844804850342845,\n  "tol": 1e-12\n}\n',
+    ("roots", "csv"): (
+        "value,multiplicity,subcritical\n"
+        "0.00786915296765801,1,0\n"
+        "0.61002383966488,1,1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(SCALE582_STDOUT))
+def test_scale582_cycle_pinned_output(capsys, command, fmt):
+    # 5-cycle with weights 1/291, 1/2, 1, 1, 1: a degree-1164 clique
+    # polynomial with 8 terms, which dense isolation took 13 s to handle
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, command, "--config", str(DATA / "cycle5_scale582.json"), "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert out == SCALE582_STDOUT[command, fmt]
+    assert time.perf_counter() - start < 5
+
+
 def test_limsup_output(capsys):
     code, out, _ = run_cli(
         capsys, "limsup", "--preset", "free:2", "--cutoff", "20"

@@ -7,8 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlo import rootiso
-from conftest import fraction_halvings, fraction_horner
+from qlo import clique_polynomial, rootiso
+from conftest import (
+    fraction_halvings,
+    fraction_horner,
+    fraction_multiplicity,
+    fraction_sturm_count,
+    weighted_graphs,
+)
 
 
 def poly(*coeffs):
@@ -31,35 +37,17 @@ def test_sign_at_is_exact():
     assert rootiso.sign_at(p, Fraction(1)) == 0
 
 
-def test_squarefree_decomposition_recovers_multiplicities():
-    # (x - 1)^2 up to sign
-    factors = rootiso.squarefree_decomposition(poly(1, -2, 1))
-    assert len(factors) == 1
-    mult, factor = factors[0]
-    assert mult == 2 and factor == [-1, 1]
-    # (2x - 1)^2 (x - 1): multiplicity 2 at 1/2, 1 at 1
-    f = [-1, 5, -8, 4]
-    factors = dict(
-        (m, tuple(fac)) for m, fac in rootiso.squarefree_decomposition(f)
-    )
-    assert set(factors) == {1, 2}
-
-
 def test_isolate_simple_roots():
     p = poly(1, -3, 1)  # roots (3 +- sqrt 5)/2; only (3-sqrt5)/2 ~ 0.382 in (0,1)
-    intervals = rootiso.isolate_01(p)
-    assert len(intervals) == 1
-    lo, hi = intervals[0]
-    assert lo < Fraction(382, 1000) < hi
+    (root,) = rootiso.roots_in_unit_interval(p)
+    assert root.lo < Fraction(381966, 10**6) < root.hi
+    assert root.hi - root.lo == Fraction(1, 2**20)
 
 
 def test_exact_dyadic_roots_found_during_refinement():
     p = poly(1, -2)  # root exactly 1/2
-    (interval,) = rootiso.isolate_01(p)
-    assert rootiso.refine(p, *interval, Fraction(1, 2**40)) == (
-        Fraction(1, 2),
-        Fraction(1, 2),
-    )
+    steps = list(itertools.islice(rootiso.halvings(p, Fraction(0), Fraction(1)), 3))
+    assert steps == [(0, 1, 1), (1, 1, 2)]
     (root,) = rootiso.roots_in_unit_interval(p)
     assert (root.lo, root.hi, root.multiplicity) == (
         Fraction(1, 2),
@@ -71,29 +59,32 @@ def test_exact_dyadic_roots_found_during_refinement():
 def test_isolate_close_root_pair():
     # (8x - 3)(16x - 7) = 128x^2 - 104x + 21: roots 0.375 and 0.4375
     p = poly(21, -104, 128)
-    intervals = rootiso.isolate_01(p)
-    assert len(intervals) == 2
-    (lo1, hi1), (lo2, hi2) = sorted(intervals)
-    assert lo1 <= Fraction(3, 8) <= hi1
-    assert lo2 <= Fraction(7, 16) <= hi2
+    roots = rootiso.roots_in_unit_interval(p)
+    assert [(r.lo, r.hi) for r in roots] == [
+        (Fraction(3, 8), Fraction(3, 8)),
+        (Fraction(7, 16), Fraction(7, 16)),
+    ]
 
 
-def test_isolate_rejects_roots_at_endpoints():
-    with pytest.raises(ValueError):
-        rootiso.isolate_01(poly(0, 1))  # root at 0
-    with pytest.raises(ValueError):
-        rootiso.isolate_01(poly(-1, 1))  # root at 1
+def test_roots_at_the_ends_of_the_unit_interval():
+    assert rootiso.roots_in_unit_interval(poly(0, 1)) == []  # root at 0
+    (root,) = rootiso.roots_in_unit_interval(poly(-1, 1))
+    assert (root.lo, root.hi, root.multiplicity) == (1, 1, 1)
+    # x^3 (2x - 1): the roots at 0 are stripped, 1/2 stays
+    (root,) = rootiso.roots_in_unit_interval(poly(0, 0, 0, -1, 2))
+    assert (root.lo, root.hi, root.multiplicity) == (Fraction(1, 2), Fraction(1, 2), 1)
 
 
 def test_no_roots_reported_for_positive_polynomial():
-    assert rootiso.isolate_01(poly(1, 1, 1)) == []
     assert rootiso.roots_in_unit_interval(poly(1, 1, 1)) == []
 
 
 def test_refine_shrinks_to_width():
     p = poly(-1, 0, 3)  # root sqrt(1/3) ~ 0.5774
-    (interval,) = rootiso.isolate_01(p)
-    lo, hi = rootiso.refine(p, *interval, Fraction(1, 10**12))
+    (root,) = rootiso.roots_in_unit_interval(p)
+    steps = itertools.islice(rootiso.halvings(list(root.factor), root.lo, root.hi), 40)
+    ln, hn, den = next((ln, hn, den) for ln, hn, den in steps if (hn - ln) * 10**12 <= den)
+    lo, hi = Fraction(ln, den), Fraction(hn, den)
     assert hi - lo <= Fraction(1, 10**12)
     assert rootiso.sign_at(p, lo) != rootiso.sign_at(p, hi)
 
@@ -114,6 +105,36 @@ def test_roots_in_unit_interval_full_reports():
         (Fraction(1, 2), 2),
         (Fraction(1), 1),
     ]
+    # (1 - 3t)^2 and (1 - 3t)^3: no dyadic point hits 1/3, so the gcd of an
+    # undecided critical bracket finds it, on one level and on two
+    for k in (2, 3):
+        p = [1]
+        for _ in range(k):
+            p = times(p, [1, -3])
+        (root,) = rootiso.roots_in_unit_interval(p)
+        assert root.lo < Fraction(1, 3) < root.hi and root.multiplicity == k
+        assert root.factor == (-1, 3)
+
+
+def test_exact_root_at_the_end_of_a_neighbouring_node():
+    # 1/2 and (2^21 + 1)/2^22: the second root's level-20 node starts at
+    # the first, so its factor must not vanish there
+    p = times([-1, 2], [-(2**21) - 1, 2**22])
+    exact, near = rootiso.roots_in_unit_interval(p)
+    assert (exact.lo, exact.hi) == (Fraction(1, 2), Fraction(1, 2))
+    assert (near.lo, near.hi) == (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**20))
+    assert rootiso.sign_at(list(near.factor), near.lo) != 0
+    steps = rootiso.halvings(list(near.factor), near.lo, near.hi)
+    *_, (ln, hn, den) = itertools.islice(steps, 3)
+    assert Fraction(ln, den) == Fraction(hn, den) == Fraction(2**21 + 1, 2**22)
+
+
+def test_roots_closer_than_a_level_20_node_go_ten_levels_deeper():
+    # (2^25 x - 100)^2 - 2: both roots in [3, 4] / 2^20
+    n = 2**25
+    roots = rootiso.roots_in_unit_interval([100**2 - 2, -200 * n, n * n])
+    assert [r.hi - r.lo for r in roots] == [Fraction(1, 2**30)] * 2
+    assert roots[0].hi < roots[1].lo
 
 
 def test_roots_intervals_are_disjoint_and_sorted():
@@ -163,25 +184,43 @@ def test_integer_l3_on_products_of_linear_factors(factors, quadratic, points):
     roots = {Fraction(a, b): k for a, b, k in factors}
     quadratic = [c // math.gcd(*quadratic) for c in quadratic]
     p = quadratic
-    expected = {1: quadratic}
     for r, k in roots.items():
-        linear = [-r.numerator, r.denominator]
         for _ in range(k):
-            p = times(p, linear)
-        expected[k] = times(expected.get(k, [1]), linear)
+            p = times(p, [-r.numerator, r.denominator])
     for x in [Fraction(0), Fraction(1), *roots, *points]:
         value = fraction_horner(p, x)
         assert rootiso.sign_at(p, x) == (value > 0) - (value < 0)
-
-    decomposition = rootiso.squarefree_decomposition(p)
-    assert dict(decomposition) == expected
-    assert len(decomposition) == len(expected)
 
     reported = rootiso.roots_in_unit_interval(p)
     assert len(reported) == len(roots)
     for r, k in roots.items():
         (owner,) = [x for x in reported if x.lo <= r <= x.hi]
         assert owner.multiplicity == k
+    _check_against_sturm(p, reported)
+
+
+def _check_against_sturm(p, reported):
+    """Each interval holds one distinct root of p, with the Sturm oracle's
+    count and multiplicity, and a factor simple there with no other root."""
+    root_at_one = fraction_horner(p, Fraction(1)) == 0
+    assert len(reported) == fraction_sturm_count(p, Fraction(0), Fraction(1)) + root_at_one
+    assert all(a.hi <= b.lo for a, b in zip(reported, reported[1:]))
+    for r in reported:
+        if r.exact:
+            assert fraction_horner(p, r.lo) == 0
+        else:
+            assert fraction_sturm_count(p, r.lo, r.hi) == 1
+            assert fraction_sturm_count(r.factor, r.lo, r.hi) == 1
+            assert fraction_horner(r.factor, r.lo) != 0 != fraction_horner(r.factor, r.hi)
+        assert r.multiplicity == fraction_multiplicity(p, r.lo, r.hi)
+        assert fraction_multiplicity(r.factor, r.lo, r.hi) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(weighted_graphs(min_letters=2, max_letters=6, denominators=(1, 2, 3, 6)))
+def test_clique_polynomial_roots_match_the_sturm_oracle(graph):
+    p = clique_polynomial(graph).integer_coefficients()
+    _check_against_sturm(p, rootiso.roots_in_unit_interval(p))
 
 
 def _bisection_steps(halvings, n=48):
@@ -193,8 +232,8 @@ def _bisection_steps(halvings, n=48):
 
 
 @settings(deadline=None, max_examples=60)
-@given(linear_factors, quadratics, st.integers(0, 40))
-def test_integer_halvings_match_the_fraction_bisection(factors, quadratic, bits):
+@given(linear_factors, quadratics)
+def test_integer_halvings_match_the_fraction_bisection(factors, quadratic):
     p = quadratic
     for a, b, k in factors:
         for _ in range(k):
@@ -204,10 +243,9 @@ def test_integer_halvings_match_the_fraction_bisection(factors, quadratic, bits)
     squarefree = quadratic
     for a, b, _ in factors:
         squarefree = times(squarefree, [-a, b])
-    intervals = rootiso.isolate_01(squarefree)
+    intervals = [(r.lo, r.hi) for r in rootiso.roots_in_unit_interval(squarefree)]
     for a, b, _ in factors:
         intervals.append((Fraction(7 * a - 1, 7 * b), Fraction(5 * a + 1, 5 * b)))
-    width = Fraction(1, 2**bits)
     for lo, hi in intervals:
         got = _bisection_steps(rootiso.halvings(p, lo, hi))
         want = _bisection_steps(fraction_halvings(p, lo, hi))
@@ -215,6 +253,18 @@ def test_integer_halvings_match_the_fraction_bisection(factors, quadratic, bits)
             assert all(d2 == 2 * d1 for (_, _, d1), (_, _, d2) in zip(got, got[1:]))
             got = [(Fraction(ln, d), Fraction(hn, d)) for ln, hn, d in got]
         assert got == want
-        if isinstance(want, list):
-            refined = next(iv for iv in fraction_halvings(p, lo, hi) if iv[1] - iv[0] <= width)
-            assert rootiso.refine(p, lo, hi, width) == refined
+
+
+def _stuck_halvings(terms, ln, hn, den):
+    """A broken bisection: the denominator doubles, the interval stays."""
+    while True:
+        yield ln, hn, den
+        ln, hn, den = 2 * ln, 2 * hn, 2 * den
+
+
+def test_a_stuck_bisection_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(rootiso, "_halvings", _stuck_halvings)
+    # (3x - 1)^2 + 2^-20: p(1/3) > 0 shows only on a critical bracket
+    # narrower than about 2^-10, which a stuck bisection never reaches
+    with pytest.raises(ArithmeticError):
+        rootiso.roots_in_unit_interval([2**20 + 1, -6 * 2**20, 9 * 2**20])

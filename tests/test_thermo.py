@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from qlo import (
     ThermoContext,
     beta_critical,
     beta_critical_limsup_estimate,
+    build_graph,
     clique_roots_in_unit_interval,
     enumerate_up_to,
     fock_state_value,
@@ -35,6 +37,7 @@ from conftest import (
     make_free3,
     make_path3,
     make_weighted_abelian2,
+    many_term_graph,
     random_graph,
 )
 
@@ -136,6 +139,49 @@ def test_roots_report_reuses_the_refined_smallest_root(monkeypatch):
     assert len(starts) == len(ctx._roots) - 1  # the second report bisects nothing
     clique_roots_in_unit_interval(ctx, ctx.tol / 4)
     assert len(starts) == 2 * len(ctx._roots) - 1  # a new tol refines every root
+
+
+def test_a_stuck_bisection_fails_the_refinement(monkeypatch):
+    def stuck(coeffs, lo, hi):
+        while True:
+            yield lo.numerator, hi.numerator, lo.denominator
+
+    ctx = ThermoContext(NAMED_GRAPHS["cycle5"]())
+    monkeypatch.setattr(rootiso, "halvings", stuck)
+    with pytest.raises(ArithmeticError):
+        clique_roots_in_unit_interval(ctx, ctx.tol / 4)
+
+
+def test_beta_c_at_scale_1994():
+    # 5-cycle with weights 1/997, 1/2, 1, 1, 1: degree 3988, 8 terms
+    names = "abcde"
+    weights = {"a": Fraction(1, 997), "b": Fraction(1, 2), "c": 1, "d": 1, "e": 1}
+    graph = build_graph(names, weights, [(names[i], names[(i + 1) % 5]) for i in range(5)])
+    start = time.perf_counter()
+    ctx = ThermoContext(graph)
+    assert ctx.clique_poly.scale == 1994
+    assert ctx.beta_c == 5.860491855692413
+    assert time.perf_counter() - start < 10
+
+
+def test_many_term_clique_polynomial_roots():
+    # 9 letters at scale 12: 27 terms on degree 47, the costliest of the
+    # many_term_graph seeds 0-7 for isolation by terms
+    start = time.perf_counter()
+    ctx = ThermoContext(many_term_graph(1))
+    report = clique_roots_in_unit_interval(ctx, ctx.tol)
+    assert sum(1 for c in ctx._coeffs if c) == 27 and len(ctx._coeffs) == 48
+    assert ctx.beta_c == 4.7177555385558705
+    assert [(r.lo, r.hi, r.multiplicity) for r in ctx._roots] == [
+        (Fraction(707715, 2**20), Fraction(707716, 2**20), 1),
+        (Fraction(982665, 2**20), Fraction(982666, 2**20), 1),
+    ]
+    assert [(r.value, r.multiplicity, r.is_exact) for r in report.roots] == [
+        (0.008935210795352427, 1, False),
+        (0.45885101069913825, 1, False),
+    ]
+    assert len(report.subcritical) == 1
+    assert time.perf_counter() - start < 5
 
 
 # -- partition function ------------------------------------------------------
