@@ -25,7 +25,7 @@ from fractions import Fraction
 from .growth import _cliques, enumerate_up_to, growth_table
 # multiply is unused; bench/tests checks that tracing restores qlo.fock.multiply
 from .monoid import INFINITY, MismatchedGraphError, join, multiply  # noqa: F401
-from .monoid import _check_same_graph, _insert, _letters, _remove_front
+from .monoid import _check_same_graph, _drop, _letters, _remove_front
 from .thermo import ComputationError, ThermoContext, tail_mass
 
 __all__ = [
@@ -190,14 +190,14 @@ def _left_map(rep, p):
     cached or generator map is reached, and the generator maps are composed
     back onto it, as L_p = L_s o L_(s\\p)."""
     _check_rep_graph(rep, p)
-    cache, dep = rep._left_cache, rep.graph._dep
+    cache, reach = rep._left_cache, rep.graph._dependents
     cached = cache.get(p._masks)
     if cached is None:
         end = bisect_right(rep._weights, rep._top - p._w)
         pm, n, fronts = p._masks, p.length, []  # fronts: outermost letter first
         while end and n > 1 and pm not in cache:
             fronts.append(1 << (pm[0].bit_length() - 1))
-            pm, n = tuple(_remove_front(dep, pm, fronts[-1])), n - 1
+            pm, n = tuple(_remove_front(reach, pm, fronts[-1])), n - 1
         cached = cache.get(pm) if end else []  # [] when p is heavier than W
         if cached is None:
             cached = _generator_map(rep, pm[0])
@@ -216,9 +216,10 @@ def _generator_map(rep, s):
         graph, basis, parent, row = rep.graph, rep.basis, rep._parent, rep._row
         end = bisect_right(rep._weights, rep._top - graph._w[s.bit_length() - 1])
         cached = rep._left_cache[(s,)] = [row[(s,)]] if end else []
+        reach = graph._dependents
         for c in range(1, end):
             blocks = list(basis[cached[parent[c]]]._masks)
-            _insert(graph._dep, blocks, basis[c]._masks[-1])
+            _drop(reach, blocks, basis[c]._masks[-1])
             cached.append(row[tuple(blocks)])
     return cached
 

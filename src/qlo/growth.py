@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from functools import partial
+from itertools import starmap, zip_longest
 from operator import itemgetter
 
-from .monoid import Trace, _block_weight, _dependents, _letters
+from .monoid import Trace, _letters
 
 __all__ = [
     "WeightedPolynomial",
@@ -251,7 +253,7 @@ def _clique_table(graph):
                 grow(block, candidates & ~dep[low.bit_length() - 1])
 
         grow(0, (1 << len(dep)) - 1)
-        graph._cliques = tuple(out), tuple(_block_weight(graph, b) for b in out)
+        graph._cliques = tuple(out), tuple(graph._block_weight[b] for b in out)
     return graph._cliques
 
 
@@ -265,21 +267,31 @@ def _successors(graph):
     if graph._succ is None:
         cliques = _cliques(graph)
         # every letter of a successor depends on some letter of clique i
-        reach = [_dependents(graph._dep, b) for b in cliques]
+        reach = [graph._dependents[b] for b in cliques]
         graph._succ = [[j for j, c in enumerate(cliques) if not c & ~r] for r in reach]
     return graph._succ
 
 
 def enumerate_up_to(graph, cutoff):
-    """All traces of weight <= cutoff, sorted by (weight, normal form).
-
-    Block sequences grow level by level in integer weight, so only the
-    traces of one weight level are sorted, by their serialized form.
-    """
+    """All traces of weight <= cutoff, sorted by (weight, normal form), in a
+    fresh list served from the longest enumeration the graph holds, of which
+    it is a prefix; only a larger cutoff enumerates again.  The graph keeps
+    rows (block masks, scaled weight, length), not traces, which would tie
+    it into a reference cycle that outlives its users."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     top = _top_level(cutoff, graph.scale)
+    if graph._basis is None or graph._basis[0] < top:
+        graph._basis = top, _enumerate(graph, top)
+    rows = graph._basis[1]
+    return list(starmap(partial(Trace, graph), rows[: bisect_right(rows, top, key=itemgetter(1))]))
+
+
+def _enumerate(graph, top):
+    """Rows of the traces of scaled weight <= top, in enumerate_up_to's order.
+    Block sequences grow level by level in integer weight, so only the rows
+    of one weight level are sorted, by their serialized form."""
     cliques, weights = _clique_table(graph)
     sizes = [b.bit_count() for b in cliques]
     names = [".".join(_letters(graph, b)) for b in cliques]
@@ -289,13 +301,13 @@ def enumerate_up_to(graph, cutoff):
     for i, w in enumerate(weights):
         if w <= top:
             levels[w].append((names[i], (cliques[i],), i, sizes[i]))
-    out = [graph.identity()]
+    out = [((), 0, 0)]
     for w in range(1, top + 1):
         level = levels[w]
         levels[w] = None
         level.sort(key=itemgetter(0))
         for name, masks, last, length in level:
-            out.append(Trace(graph, masks, w, length))
+            out.append((masks, w, length))
             for j in succ[last]:
                 w2 = w + weights[j]
                 if w2 <= top:

@@ -9,19 +9,24 @@ where every letter of a block depends on some letter of the preceding block.
 
 This module alone decides how that form is stored.  Generator i is bit
 ``1 << i`` and a block is the int mask of its letters; each generator has
-the mask of the letters it depends on, itself included, so a letter falls
-onto a stack of blocks until the first block that meets its mask.  Weights
-are ints on the lattice (1/scale)*Z, with scale the lcm of the weight
-denominators.  The letter forms of a trace (``key``, ``blocks``) and its
-``Fraction`` weight are derived on first use.  Equality, left divisibility,
-least common upper bounds and Wick reordering are all decided exactly;
-weights are never floats.
+the mask of the letters it depends on, itself included.  The letters of a
+block commute pairwise, so every block mask is a clique, and the graph keeps
+two tables keyed by such masks, filled on first lookup: ``_dependents`` (the
+letters that depend on some letter of the block) and ``_block_weight``.  A
+whole block then drops onto a stack at once, each letter landing just above
+the highest block whose dependents mask holds it.  Weights are ints on the
+lattice (1/scale)*Z, with scale the lcm of the weight denominators.  The
+letter forms of a trace (``key``, ``blocks``) and its ``Fraction`` weight
+are derived on first use.  Equality, left divisibility, least common upper
+bounds and Wick reordering are all decided exactly; weights are never floats.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add, or_
 
 __all__ = [
     "GraphError",
@@ -84,9 +89,11 @@ class IndependenceGraph:
     """Commutation graph: vertices generate, edges mean 'these commute'.
 
     Immutable, so what derives from it is kept once made: the identity trace,
-    the hash and, for ``qlo.growth``, the clique masks with their scaled weights
-    (``_cliques``), the successor lists (``_succ``) and the longest growth count
-    so far (``_counts``), which serves every cutoff at or below its own."""
+    the hash, the per-clique tables ``_dependents`` and ``_block_weight`` (a
+    Foata block's letters commute, so a block mask is always a clique) and, for
+    ``qlo.growth``, the clique masks with their scaled weights (``_cliques``),
+    the successor lists (``_succ``), and the longest growth count (``_counts``)
+    and enumeration (``_basis``) so far, which serve every cutoff up to theirs."""
 
     __slots__ = (
         "generators",
@@ -98,9 +105,12 @@ class IndependenceGraph:
         "_scale",
         "_identity",
         "_hash",
+        "_dependents",
+        "_block_weight",
         "_cliques",
         "_succ",
         "_counts",
+        "_basis",
     )
 
     def __init__(self, generators, weights, edges=()):
@@ -147,7 +157,9 @@ class IndependenceGraph:
         self._w = tuple(int(table[s] * scale) for s in gens)
         self._scale = scale
         self._identity = self._hash = None
-        self._cliques = self._succ = self._counts = None
+        self._dependents = _MaskTable(self._dep, or_)
+        self._block_weight = _MaskTable(self._w, add)
+        self._cliques = self._succ = self._counts = self._basis = None
 
     # -- basic queries -------------------------------------------------
 
@@ -300,57 +312,51 @@ def _letters(graph, mask):
     return tuple(out)
 
 
-def _block_weight(graph, mask):
-    """Weight of a block mask in units of 1/scale."""
-    weights = graph._w
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total
+class _MaskTable(dict):
+    """Per-letter values folded by `_fold` (or, add) over the letters of a
+    block mask, computed on the first lookup of each mask."""
 
+    __slots__ = ("_per_letter", "_fold")
 
-def _dependents(dep, mask):
-    """Mask of the letters that depend on some letter of `mask`."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= dep[low.bit_length() - 1]
-        mask ^= low
-    return out
+    def __init__(self, per_letter, fold):
+        self._per_letter, self._fold = per_letter, fold
+
+    def __missing__(self, mask):
+        letters = (v for i, v in enumerate(self._per_letter) if mask >> i & 1)
+        self[mask] = out = reduce(self._fold, letters, 0)
+        return out
 
 
 def _trace(graph, masks):
     """Trace with the given Foata block masks."""
-    return Trace(
-        graph,
-        tuple(masks),
-        sum(_block_weight(graph, m) for m in masks),
-        sum(m.bit_count() for m in masks),
-    )
+    weight, w, n = graph._block_weight, 0, 0
+    for m in masks:
+        w, n = w + weight[m], n + m.bit_count()
+    return Trace(graph, tuple(masks), w, n)
 
 
 # -- Foata normal form machinery ------------------------------------------
 
 
-def _insert(dep, blocks, mask):
-    """Drop a mask's letters, lowest bit first, onto block masks, in place."""
-    while mask:
-        bit = mask & -mask
-        d = dep[bit.bit_length() - 1]
-        k = len(blocks)
-        while k and not blocks[k - 1] & d:
-            k -= 1
-        if k == len(blocks):
-            blocks.append(bit)
-        else:
-            blocks[k] |= bit
-        mask ^= bit
+def _drop(reach, blocks, b):
+    """Drop the letters of block mask b onto block masks, in place.
+
+    They commute pairwise, so each lands just above the highest block whose
+    dependents mask (`reach`) holds it, wherever the others land."""
+    k = len(blocks)
+    while b:
+        k -= 1
+        hit = b & reach[blocks[k]] if k >= 0 else b
+        if hit:
+            b ^= hit
+            if k + 1 < len(blocks):
+                blocks[k + 1] |= hit
+            else:
+                blocks.append(hit)
 
 
-def _product(dep, pm, qm):
-    """Block masks of p*q: q's letters fall onto p's blocks, block by block.
+def _product(reach, pm, qm):
+    """Block masks of p*q: q's blocks drop onto p's blocks one at a time.
 
     Once a block of q lands inside the top block, every later block of q
     depends on the block before it and stacks on top unchanged.
@@ -359,13 +365,13 @@ def _product(dep, pm, qm):
         return qm
     blocks = list(pm)
     for j, b in enumerate(qm):
-        _insert(dep, blocks, b)
+        _drop(reach, blocks, b)
         if not b & ~blocks[-1]:
             return (*blocks, *qm[j + 1 :])
     return tuple(blocks)
 
 
-def _remove_front(dep, blocks, head):
+def _remove_front(reach, blocks, head):
     """Block masks with the minimal letters `head` taken off the front.
 
     `head` lies in the first block.  Its letters commute with each other, so
@@ -376,14 +382,7 @@ def _remove_front(dep, blocks, head):
     stay = blocks[0] & ~head
     out = [stay]
     for b in blocks[1:]:
-        fall = b
-        if stay:
-            m = b
-            while m:
-                low = m & -m
-                if dep[low.bit_length() - 1] & stay:
-                    fall ^= low
-                m ^= low
+        fall = b & ~reach[stay]
         out[-1] |= fall
         stay = b & ~fall
         out.append(stay)
@@ -392,17 +391,17 @@ def _remove_front(dep, blocks, head):
     return out
 
 
-def _quotient(dep, pm, xm):
+def _quotient(reach, pm, xm):
     """Block masks of p\\x, or None when p does not divide x on the left."""
     rest = xm
     for b in pm:
         if not rest or b & ~rest[0]:
             return None
-        rest = _remove_front(dep, rest, b)
+        rest = _remove_front(reach, rest, b)
     return rest
 
 
-def _join_rest(dep, pm, qm):
+def _join_rest(reach, pm, qm):
     """Block masks of q' with join(p, q) = p*q', or None if there is no join.
 
     The blocks of p are consumed front to back.  Letters minimal in what is
@@ -413,11 +412,11 @@ def _join_rest(dep, pm, qm):
     for b in pm:
         head = b & rest[0] if rest else 0
         if head:
-            rest = _remove_front(dep, rest, head)
+            rest = _remove_front(reach, rest, head)
         if b != head:
-            reach = _dependents(dep, b & ~head)
+            far = reach[b & ~head]
             for c in rest:
-                if c & reach:
+                if c & far:
                     return None
     return rest
 
@@ -433,7 +432,7 @@ def _check_same_graph(p, q):
 def normalize(graph, word):
     """Foata normal form of a word; constant on commutation classes."""
     index = graph._index
-    dep = graph._dep
+    reach = graph._dependents
     weights = graph._w
     blocks = []
     total = length = 0
@@ -441,7 +440,7 @@ def normalize(graph, word):
         i = index.get(s)
         if i is None:
             raise GraphError(f"unknown generator {s!r}")
-        _insert(dep, blocks, 1 << i)
+        _drop(reach, blocks, 1 << i)
         total += weights[i]
         length += 1
     return Trace(graph, tuple(blocks), total, length)
@@ -449,14 +448,15 @@ def normalize(graph, word):
 
 def multiply(p, q):
     """Normal form of the concatenation pq; weight and length add."""
-    _check_same_graph(p, q)
+    if p.graph is not q.graph:
+        _check_same_graph(p, q)
     if not p._masks:
         return q
     if not q._masks:
         return p
     return Trace(
         p.graph,
-        _product(p.graph._dep, p._masks, q._masks),
+        _product(p.graph._dependents, p._masks, q._masks),
         p._w + q._w,
         p.length + q.length,
     )
@@ -472,13 +472,13 @@ def divides(p, x):
     _check_same_graph(p, x)
     if p._w > x._w or p.length > x.length:
         return False
-    return _quotient(p.graph._dep, p._masks, x._masks) is not None
+    return _quotient(p.graph._dependents, p._masks, x._masks) is not None
 
 
 def left_quotient(p, x):
     """The unique p' with p*p' = x; raises NotADivisorError otherwise."""
     _check_same_graph(p, x)
-    rest = _quotient(p.graph._dep, p._masks, x._masks)
+    rest = _quotient(p.graph._dependents, p._masks, x._masks)
     if rest is None:
         raise NotADivisorError(f"{p.serialize()} does not divide {x.serialize()}")
     return Trace(p.graph, tuple(rest), x._w - p._w, x.length - p.length)
@@ -492,7 +492,7 @@ def join(p, q):
     rest of q must commute with all of it, otherwise no upper bound exists.
     """
     _check_same_graph(p, q)
-    rest = _join_rest(p.graph._dep, p._masks, q._masks)
+    rest = _join_rest(p.graph._dependents, p._masks, q._masks)
     if rest is None:
         return INFINITY
     return multiply(p, _trace(p.graph, rest))
@@ -504,9 +504,10 @@ def wick(p, q):
     Returns None when join(p, q) = INFINITY (the product collapses to zero).
     """
     _check_same_graph(p, q)
-    dep = p.graph._dep
-    a = _join_rest(dep, p._masks, q._masks)
+    reach = p.graph._dependents
+    a = _join_rest(reach, p._masks, q._masks)
     if a is None:
         return None
-    b = _join_rest(dep, q._masks, p._masks)
-    return _trace(p.graph, a), _trace(q.graph, b)
+    a = _trace(p.graph, a)  # b's weight and length follow from p*a = q*b
+    b = _join_rest(reach, q._masks, p._masks)
+    return a, Trace(q.graph, tuple(b), p._w + a._w - q._w, p.length + a.length - q.length)

@@ -150,6 +150,8 @@ def _critical_sign(p, crit):
         vh = vh << top if step and h2 == 2 * hn else _value(p, h2, den)
         ln, hn = l2, h2
         slack = (hn - ln) ** 2 * bound << step * (top - 2)
+        # p = 0 at one end never passes the slack test either: p'(c) = 0 inside, so
+        # 2|p(other end)| <= sup|p''| * width**2 = slack (Taylor); `>= 0` decides alike
         if vl * vh > 0 and 2 * max(abs(vl), abs(vh)) > slack:
             return (vl > 0) - (vl < 0), (ln, hn, den, mult, f)
         if step == 64:  # still undecided: does p vanish at c too?

@@ -56,7 +56,7 @@ class StateValue:
 
     @classmethod
     def zero(cls):
-        return cls("zero")
+        return _ZERO
 
     def is_zero(self):
         return self.kind == "zero"
@@ -65,6 +65,9 @@ class StateValue:
         if self.kind == "zero":
             return 0.0
         return math.exp(-beta * float(self.exponent))
+
+
+_ZERO = StateValue("zero")  # frozen, so one instance serves every zero value
 
 
 class ThermoContext:
@@ -331,7 +334,7 @@ def _twisted_side(front, star1, mid, star2):
     left = multiply(front, a)
     right = multiply(star2, b)
     if left == right:
-        return StateValue.exact(left.weight - front.weight)
+        return StateValue.exact(Fraction(left._w - front._w, left.graph.scale))
     return StateValue.zero()
 
 

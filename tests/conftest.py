@@ -9,9 +9,11 @@ enumeration (``bfs_traces_up_to``), factorization search for divisibility
 (``fraction_halvings``), Sturm sequences of the squarefree part for root
 counts and multiplicities (``fraction_sturm_count``,
 ``fraction_multiplicity``), the closed-form weight counts of path:3 for its
-growth-series tail (``path3_relative_tail``), and Fraction-keyed clique sums
+growth-series tail (``path3_relative_tail``), Fraction-keyed clique sums
 and series recurrences for L2 (``reference_clique_terms``,
-``reference_inverse_terms``).  The oracles that ``qlo
+``reference_inverse_terms``), and letter-by-letter Foata block kernels with
+their product, quotient and join built on them (``reference_insert``,
+``reference_remove_front``, ...).  The oracles that ``qlo
 verify`` also runs live in ``qlo.oracles``: the minimal-upper-bound search
 for joins (``join_by_search``, ``join_mismatch``), the join translation
 identity (``translation_identity_holds``) and the Wick round trip
@@ -111,7 +113,7 @@ def many_term_graph(seed):
 @st.composite
 def weighted_graphs(draw, min_letters=3, max_letters=5, denominators=(1, 2, 3, 4, 6)):
     """Random commutation graphs with weights n/d in [1/2, 2], d in `denominators`."""
-    names = "abcdef"[: draw(st.integers(min_letters, max_letters))]
+    names = "abcdefghijkl"[: draw(st.integers(min_letters, max_letters))]
     edges = [e for e in itertools.combinations(names, 2) if draw(st.booleans())]
     weights = {}
     for s in names:
@@ -363,3 +365,79 @@ def path3_relative_tail(beta, cutoff):
     z_truncated = sum((2 ** (n + 1) - 1) * t**n for n in range(int(cutoff) + 1))
     return z_closed / z_truncated - 1.0
 
+
+
+# -- letter-by-letter Foata kernels ---------------------------------------------
+# The kernels qlo.monoid replaced with block-at-a-time table lookups; each
+# letter is placed on its own, reading only the per-letter masks graph._dep.
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def reference_insert(dep, blocks, mask):
+    """Drop a mask's letters, lowest bit first, onto block masks, in place."""
+    for bit in _bits(mask):
+        d = dep[bit.bit_length() - 1]
+        k = len(blocks)
+        while k and not blocks[k - 1] & d:
+            k -= 1
+        if k == len(blocks):
+            blocks.append(bit)
+        else:
+            blocks[k] |= bit
+
+
+def reference_remove_front(dep, blocks, head):
+    """Block masks with the minimal letters `head` taken off the front; a later
+    letter falls one block when no letter staying in the block below is one
+    it depends on."""
+    stay = blocks[0] & ~head
+    out = [stay]
+    for b in blocks[1:]:
+        fall = b
+        for low in _bits(b):
+            if dep[low.bit_length() - 1] & stay:
+                fall ^= low
+        out[-1] |= fall
+        stay = b & ~fall
+        out.append(stay)
+    if not out[-1]:
+        out.pop()
+    return out
+
+
+def reference_product(dep, pm, qm):
+    """Block masks of p*q, every letter of q inserted on its own."""
+    blocks = list(pm)
+    for b in qm:
+        reference_insert(dep, blocks, b)
+    return tuple(blocks)
+
+
+def reference_quotient(dep, pm, xm):
+    """Block masks of p\\x, or None when p does not divide x on the left."""
+    rest = list(xm)
+    for b in pm:
+        if not rest or b & ~rest[0]:
+            return None
+        rest = reference_remove_front(dep, rest, b)
+    return tuple(rest)
+
+
+def reference_join_rest(dep, pm, qm):
+    """Block masks of q' with join(p, q) = p*q', or None: each letter of p not
+    minimal in the rest of q must commute with every letter of that rest."""
+    rest = list(qm)
+    for b in pm:
+        head = b & rest[0] if rest else 0
+        if head:
+            rest = reference_remove_front(dep, rest, head)
+        for low in _bits(b & ~head):
+            if any(c & dep[low.bit_length() - 1] for c in rest):
+                return None
+    return tuple(rest)

@@ -180,6 +180,54 @@ def test_growth_table_counts_again_above_the_largest_count(monkeypatch):
         assert _table_view(table) == _table_view(growth_table(make_weighted_abelian2(), cutoff))
 
 
+def _basis_view(traces):
+    return [(t._masks, t.weight, t.length, t.serialize()) for t in traces]
+
+
+@pytest.mark.parametrize("make", [make_path3, make_weighted_abelian2, make_free3])
+def test_enumerate_up_to_serves_smaller_cutoffs_from_the_largest(make):
+    graph = make()
+    enumerate_up_to(graph, 9)
+    for cutoff in (*range(10), Fraction(1, 4)):  # 1/4 lies below every weight
+        got = enumerate_up_to(graph, cutoff)
+        assert _basis_view(got) == _basis_view(enumerate_up_to(make(), cutoff))
+        assert all(t.graph is graph for t in got)
+
+
+def test_enumerate_up_to_enumerates_again_above_the_largest(monkeypatch):
+    real, runs = qlo.growth._enumerate, []
+    monkeypatch.setattr(qlo.growth, "_enumerate", lambda g, top: runs.append(top) or real(g, top))
+    graph = make_weighted_abelian2()  # scale 2: cutoff c is level floor(2c)
+    cutoffs = (3, Fraction(7, 2), Fraction(13, 4), 5, 2)
+    bases = [enumerate_up_to(graph, cutoff) for cutoff in cutoffs]
+    assert runs == [6, 7, 10]
+    for cutoff, basis in zip(cutoffs, bases):
+        assert _basis_view(basis) == _basis_view(enumerate_up_to(make_weighted_abelian2(), cutoff))
+
+
+def test_enumerate_up_to_returns_a_fresh_list():
+    graph = make_path3()
+    first = enumerate_up_to(graph, 4)
+    want = _basis_view(first)
+    first.reverse()
+    first.append(graph.gen("a"))
+    assert _basis_view(enumerate_up_to(graph, 4)) == want
+    smaller = enumerate_up_to(graph, 2)
+    smaller.clear()
+    assert _basis_view(enumerate_up_to(graph, 4)) == want
+    assert enumerate_up_to(graph, 4) is not enumerate_up_to(graph, 4)
+
+
+def test_build_rep_then_enumerate_up_to_enumerates_once(monkeypatch):
+    real, runs = qlo.growth._enumerate, []
+    monkeypatch.setattr(qlo.growth, "_enumerate", lambda g, top: runs.append(top) or real(g, top))
+    graph = make_path3()
+    rep = build_rep(graph, 5)
+    pool = enumerate_up_to(graph, 5)
+    assert runs == [5]
+    assert pool == rep.basis and pool is not rep.basis
+
+
 # -- clique polynomial -------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from qlo import (
     MismatchedGraphError,
     NotADivisorError,
     build_graph,
+    clique_polynomial,
     divides,
     enumerate_up_to,
     join,
@@ -38,6 +39,10 @@ from conftest import (
     make_path3,
     one_blocker_words,
     random_graph,
+    reference_insert,
+    reference_join_rest,
+    reference_product,
+    reference_quotient,
     weighted_graphs,
 )
 
@@ -404,3 +409,80 @@ def test_generators_out_of_alphabetical_order():
     twin = normalize(build_graph("cba", 1, [("a", "b")]), "ba")
     assert twin == ab and hash(twin) == hash(ab)
     assert multiply(ab, twin).serialize() == "b.a|b.a"
+
+
+# -- block kernels against letter-by-letter references --------------------------
+
+
+@st.composite
+def wide_graph_and_words(draw):
+    """Up to 12 generators; p = u.v and q = u.w share the prefix u half of
+    the time, so that divisors and joins occur."""
+    graph = draw(weighted_graphs(min_letters=1, max_letters=12))
+    letters = st.lists(st.sampled_from(graph.generators), max_size=7)
+    u, v, w = draw(letters), draw(letters), draw(letters)
+    return (graph, u + v, u + w) if draw(st.booleans()) else (graph, v, w)
+
+
+def _letters_of(graph, masks):
+    return [s for m in masks for i, s in enumerate(graph.generators) if m >> i & 1]
+
+
+def _weight_and_length(t):
+    letters = _letters_of(t.graph, t._masks)
+    return sum((t.graph.weights[s] for s in letters), Fraction(0)), len(letters)
+
+
+@settings(deadline=None, max_examples=300)
+@given(wide_graph_and_words())
+def test_block_kernels_match_letter_by_letter_references(case):
+    graph, u, v = case
+    dep = graph._dep
+    p, q = normalize(graph, u), normalize(graph, v)
+    for word, t in ((u, p), (v, q)):
+        blocks = []
+        for s in word:
+            reference_insert(dep, blocks, 1 << graph.generators.index(s))
+        assert t._masks == tuple(blocks)
+    pq = multiply(p, q)
+    assert pq._masks == reference_product(dep, p._masks, q._masks)
+    made = [pq]
+    for x, y in ((p, pq), (p, q), (q, p)):
+        rest = reference_quotient(dep, x._masks, y._masks)
+        assert divides(x, y) == (rest is not None)
+        if rest is None:
+            with pytest.raises(NotADivisorError):
+                left_quotient(x, y)
+        else:
+            made.append(left_quotient(x, y))
+            assert made[-1]._masks == rest
+    rest = reference_join_rest(dep, p._masks, q._masks)
+    if rest is None:
+        assert join(p, q) is INFINITY and wick(p, q) is None
+    else:
+        bound, (a, b) = join(p, q), wick(p, q)
+        assert bound._masks == reference_product(dep, p._masks, rest)
+        assert a._masks == rest
+        assert b._masks == reference_join_rest(dep, q._masks, p._masks)
+        made += [bound, a, b]
+    for t in made:
+        assert (t.weight, t.length) == _weight_and_length(t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(wide_graph_and_words())
+def test_clique_tables_hold_their_uncached_values(case):
+    graph, u, v = case
+    p, q = normalize(graph, u), normalize(graph, v)
+    multiply(p, q), divides(p, q), wick(p, q), wick(q, p), clique_polynomial(graph)
+    assert graph._block_weight
+    for mask, reach in graph._dependents.items():
+        letters = _letters_of(graph, [mask])
+        assert all(graph.commutes(a, b) for a, b in itertools.combinations(letters, 2))
+        gens = graph.generators
+        dependents = [r for r in gens if any(r == s or not graph.commutes(r, s) for s in letters)]
+        assert reach == sum(1 << gens.index(r) for r in dependents)
+    for mask, w in graph._block_weight.items():
+        letters = _letters_of(graph, [mask])
+        assert all(graph.commutes(a, b) for a, b in itertools.combinations(letters, 2))
+        assert Fraction(w, graph.scale) == sum((graph.weights[s] for s in letters), Fraction(0))

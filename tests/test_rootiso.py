@@ -129,6 +129,30 @@ def test_exact_root_at_the_end_of_a_neighbouring_node():
     assert Fraction(ln, den) == Fraction(hn, den) == Fraction(2**21 + 1, 2**22)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        poly(2, -7, 6),  # (2x - 1)(3x - 2): zero at 1/2, p' = 0 at 7/12
+        poly(2, -5, 3),  # (x - 1)(3x - 2): zero at 1, p' = 0 at 5/6
+        poly(2, -5, -1, 6),  # (2x - 1)(3x - 2)(x + 1): zero at 1/2, p' = 0 near 0.5855
+    ],
+)
+def test_critical_sign_on_a_bracket_with_a_root_of_p_at_one_end(p):
+    # p vanishes at one end of [1/2, 1] and p' once inside: the clean-bracket
+    # test meets vl * vh == 0, and only the curvature bound may decide
+    dp = [k * c for k, c in enumerate(p)][1:]
+    assert fraction_horner(p, Fraction(1, 2)) * fraction_horner(p, Fraction(1)) == 0
+    bracket = (1, 2, 2, 1, rootiso._terms(dp))  # [1/2, 1], multiplicity 1, factor p'
+    sign, (ln, hn, den, _, f) = rootiso._critical_sign(rootiso._terms(p), bracket)
+    lo, hi = Fraction(ln, den), Fraction(hn, den)
+    assert Fraction(1, 2) <= lo < hi <= 1
+    f = [dict(f).get(e, 0) for e in range(f[-1][0] + 1)]
+    assert fraction_horner(f, lo) * fraction_horner(f, hi) < 0  # the critical point is inside
+    for x in (lo, (lo + hi) / 2, hi):
+        value = fraction_horner(p, x)
+        assert sign == (value > 0) - (value < 0) == -1
+
+
 def test_roots_closer_than_a_level_20_node_go_ten_levels_deeper():
     # (2^25 x - 100)^2 - 2: both roots in [3, 4] / 2^20
     n = 2**25

@@ -1,5 +1,6 @@
 """Critical temperatures, partition functions and symbolic equilibrium values."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -349,6 +350,22 @@ def test_state_value_algebra():
     assert StateValue.exact(0).value_at(7.0) == 1.0
     assert StateValue.zero().is_zero()
     assert StateValue.zero().value_at(5.0) == 0.0
+
+
+def test_state_value_zero_is_one_instance_equal_to_a_fresh_zero():
+    fresh, zero = StateValue("zero"), StateValue.zero()
+    assert zero is StateValue.zero()
+    assert zero == fresh and hash(zero) == hash(fresh) and repr(zero) == repr(fresh)
+    assert zero.kind == "zero" and zero.exponent is None
+    assert zero.is_zero() and zero.value_at(3.0) == fresh.value_at(3.0) == 0.0
+    assert zero != StateValue.exact(0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        zero.kind = "exact"
+    g = make_free2()
+    a, b = g.gen("a"), g.gen("b")
+    report = kms_identity_check(a, b, a, b)  # a* b collapses: no common upper bound
+    assert report.holds and report.lhs == report.rhs == fresh
+    assert gibbs_value(a, b) == fock_state_value(a, a) == fresh
 
 
 def test_fock_state_value():
