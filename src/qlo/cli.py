@@ -281,7 +281,7 @@ def _cmd_kms_check(args):
             f"--beta must exceed beta_c = {_fmt(ctx.beta_c)}"
         )
     rep = fock.build_rep(graph, cutoff, thermo=ctx)
-    pool = [t for t in rep.basis if t.length <= 2]
+    pool = rep.short_traces(2)
     rng = random.Random(20_24)
     rows = []
     for _ in range(samples):

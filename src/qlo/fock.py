@@ -1,12 +1,15 @@
 """Truncated left regular representation and operator-identity checks.
 
-The basis is every monoid element of weight at most a cutoff W.  Inside, a
-left translation L_p is a cached column -> row partial map (the row of p*x
-for each column x whose product stays in the basis), built without
-multiplying words: generator maps come from each element's parent, and
-longer p compose them, as v_p v_q = v_pq.  Composition is indexing, L L^*
-is the diagonal of preimage counts and a range projection is an image set,
-so the projection identities hold exactly in integers at every finite W.
+The basis is every monoid element of weight at most a cutoff W: the integer
+rows of the graph's enumeration, a trie in which a row is its parent row
+(itself without its last Foata block) extended by that block.  A left
+translation L_p is a cached column -> row partial map (the row of p*x for
+each column x whose product stays in the basis), built without multiplying
+words: the map of a Foata block is one pass over the trie, carrying the
+letters it pushes up a block, and p composes the maps of its blocks, as
+v_p v_q = v_pq.  Composition is indexing, L L^* is the diagonal of preimage
+counts and a range projection is an image set, so the projection
+identities hold exactly in integers at every finite W.
 ``SparseOperator`` (dict-of-entries, never dense) is the public type and,
 through its matmul, the independent oracle for those maps.  Floating point
 enters only through the density exp(-beta*H) and the Gibbs/twisted-trace
@@ -21,11 +24,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .growth import _cliques, enumerate_up_to, growth_table
+from .growth import _basis, _cliques, _traces, growth_table
 # multiply is unused; bench/tests checks that tracing restores qlo.fock.multiply
 from .monoid import INFINITY, MismatchedGraphError, join, multiply  # noqa: F401
-from .monoid import _check_same_graph, _drop, _letters, _remove_front
+from .monoid import _check_same_graph, _letters
 from .thermo import ComputationError, ThermoContext, tail_mass
 
 __all__ = [
@@ -67,6 +71,13 @@ class SparseOperator:
                 cleaned[(r, c)] = v
         self.dim = dim
         self.entries = cleaned
+
+    @classmethod
+    def _unchecked(cls, dim, entries):
+        """Operator on nonzero entries that the caller has bounded by dim."""
+        op = cls.__new__(cls)
+        op.dim, op.entries = dim, entries
+        return op
 
     @classmethod
     def identity(cls, dim):
@@ -139,25 +150,38 @@ class SparseOperator:
 
 
 class TruncatedRep:
-    """Ordered weight-<=W basis of the monoid with an index lookup."""
+    """Ordered weight-<=W basis of the monoid with an index lookup: the first
+    `dim` rows of the graph's enumeration, which may run past W.  Traces are
+    built only on request; maps and lookups walk the enumeration's trie."""
 
-    def __init__(self, graph, cutoff, basis, thermo=None):
+    def __init__(self, graph, cutoff, thermo=None):
         self.graph = graph
         self.cutoff = Fraction(cutoff)
-        self.basis = basis
-        self.dim = len(basis)
-        self._row = row = {x._masks: i for i, x in enumerate(basis)}
-        # row of each element without its last Foata block (the identity's is 0)
-        self._parent = [0] + [row[x._masks[:-1]] for x in basis[1:]]
+        self._rows, self.dim = _basis(graph, self.cutoff)
         # scaled weights, ascending because the basis is sorted by weight
-        self._weights = [x._w for x in basis]
+        self._weights = self._rows.weights[: self.dim]
         self._top = math.floor(self.cutoff * graph.scale)
         self._left_cache = {(): list(range(self.dim))}  # p's masks -> L_p's map
         self._density_cache = {}
         self._thermo = thermo
 
+    @cached_property
+    def basis(self):
+        """The basis traces in row order, built on first access."""
+        return _traces(self.graph, self._rows, self.dim)
+
+    def short_traces(self, length):
+        """Basis traces of at most `length` letters, in row order."""
+        return _traces(self.graph, self._rows, self.dim, length)
+
     def index_of(self, trace):
-        return self._row.get(trace._masks)
+        """Row of the trace, or None when it lies outside the basis."""
+        child, n, row = self._rows.child, len(self.graph.generators), 0
+        for m in trace._masks:
+            row = child.get((row << n) | m)
+            if row is None:
+                return None
+        return row if row < self.dim else None
 
     def thermo(self, tol=1e-12):
         if self._thermo is None:
@@ -179,59 +203,60 @@ def build_rep(graph, cutoff, thermo=None):
         # no int-to-str limit is below 640 digits, so a longer count is shown by its bits
         shown = dim if dim < 10**600 else f"at least 2^{dim.bit_length() - 1}"
         raise ComputationError(f"basis dimension {shown} exceeds the limit {MAX_BASIS_DIM}")
-    return TruncatedRep(graph, Fraction(cutoff), enumerate_up_to(graph, cutoff), thermo)
+    return TruncatedRep(graph, cutoff, thermo)
 
 
 def _left_map(rep, p):
     """Column -> row partial map of L_p: the row of p*x for each column x
     of the basis prefix w(x) <= W - w(p), found by bisection; L_p drops
-    every later column.  No word is multiplied: letters s come off p's front
-    (p = s*(s\\p), s the highest letter of the first Foata block) until a
-    cached or generator map is reached, and the generator maps are composed
-    back onto it, as L_p = L_s o L_(s\\p)."""
+    every later column.  No word is multiplied: p is the product of its
+    Foata blocks, so L_p composes their block maps, innermost first."""
     _check_rep_graph(rep, p)
-    cache, reach = rep._left_cache, rep.graph._dependents
-    cached = cache.get(p._masks)
+    cached = rep._left_cache.get(p._masks)
     if cached is None:
         end = bisect_right(rep._weights, rep._top - p._w)
-        pm, n, fronts = p._masks, p.length, []  # fronts: outermost letter first
-        while end and n > 1 and pm not in cache:
-            fronts.append(1 << (pm[0].bit_length() - 1))
-            pm, n = tuple(_remove_front(reach, pm, fronts[-1])), n - 1
-        cached = cache.get(pm) if end else []  # [] when p is heavier than W
-        if cached is None:
-            cached = _generator_map(rep, pm[0])
-        for s in reversed(fronts):
-            outer = _generator_map(rep, s)
-            cached = [outer[r] for r in cached[:end]]
-        cache[p._masks] = cached
+        cached = []  # when p is heavier than W
+        if end:
+            cached = _block_map(rep, p._masks[-1])[:end]
+            for b in reversed(p._masks[:-1]):
+                outer = _block_map(rep, b)
+                cached = [outer[r] for r in cached]
+        rep._left_cache[p._masks] = cached
     return cached
 
 
-def _generator_map(rep, s):
-    """Cached map of generator bit s, in basis order: each x = x'|b comes
-    after its parent x', so s*x is s*x' with the letters of b dropped on."""
+def _block_map(rep, s):
+    """Cached map of a block mask s (a clique), in basis order, in one pass
+    over the trie.  s pushes letters up at most one block, so s*x is a row
+    pre(x) and then the carry block k(x) if nonempty.  From pre(e) = 0 and
+    k(e) = s, for x = x'|b the letters of b that depend on k(x') go up into
+    k(x), and the rest join k(x') in the block that ends pre(x) =
+    child(pre(x'), block)."""
     cached = rep._left_cache.get((s,))
     if cached is None:
-        graph, basis, parent, row = rep.graph, rep.basis, rep._parent, rep._row
-        end = bisect_right(rep._weights, rep._top - graph._w[s.bit_length() - 1])
-        cached = rep._left_cache[(s,)] = [row[(s,)]] if end else []
-        reach = graph._dependents
+        graph, (_, _, _, _, parent, last, child) = rep.graph, rep._rows
+        n, reach = len(graph.generators), graph._dependents
+        end = bisect_right(rep._weights, rep._top - graph._block_weight[s])
+        cached = rep._left_cache[(s,)] = [child[s]] if end else []
+        pre, carry = [0] * end, [s] * end
         for c in range(1, end):
-            blocks = list(basis[cached[parent[c]]]._masks)
-            _drop(reach, blocks, basis[c]._masks[-1])
-            cached.append(row[tuple(blocks)])
+            x, b = parent[c], last[c]
+            k = carry[x]
+            carry[c] = up = b & reach[k] if k else 0
+            pre[c] = row = child[(pre[x] << n) | k | (b & ~up)]
+            cached.append(child[(row << n) | up] if up else row)
     return cached
 
 
 def left_op(rep, p):
     """Truncated left translation by p: basis vector at x goes to p*x."""
-    return SparseOperator(rep.dim, {(r, c): 1 for c, r in enumerate(_left_map(rep, p))})
+    entries = {(r, c): 1 for c, r in enumerate(_left_map(rep, p))}
+    return SparseOperator._unchecked(rep.dim, entries)
 
 
 def range_projection(rep, p):
     """Diagonal 0/1 projection onto the left multiples of p: the image of L_p."""
-    return SparseOperator(rep.dim, {(r, r): 1 for r in _left_map(rep, p)})
+    return SparseOperator._unchecked(rep.dim, {(r, r): 1 for r in _left_map(rep, p)})
 
 
 def nica_check(rep, p, q):
@@ -247,9 +272,10 @@ def vacuum_projection(rep):
     Built both as the product of the generator complements and as the
     alternating clique sum.  Each L L^* is diagonal, holding the number of
     columns its partial map sends to each row, so both forms are integer
-    vectors that must agree entrywise.  Clique maps are composed from the
-    generator maps; test_range_projection_matches_word_search_oracle and
-    test_left_map_matches_multiply_oracle check both independently.
+    vectors that must agree entrywise.  Each clique's map is its own pass
+    over the trie, apart from the generator maps;
+    test_range_projection_matches_word_search_oracle and
+    test_left_map_matches_multiply_oracle check both against L1.
     """
     graph = rep.graph
     product = [1] * rep.dim

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import starmap, zip_longest
+from itertools import zip_longest
 from operator import itemgetter
 
 from .monoid import Trace, _letters
@@ -241,18 +242,16 @@ def _clique_table(graph):
     """(block masks, scaled weights) of the nonempty cliques, enumerated once
     per graph and kept in ``graph._cliques``."""
     if graph._cliques is None:
-        dep = graph._dep
-        out = []
-
-        def grow(members, candidates):
-            while candidates:
+        # depth first, each clique before its extensions by higher letters (a
+        # letter's dep holds itself); a recursive closure would be a reference cycle
+        dep, out, stack = graph._dep, [], [(0, (1 << len(graph._dep)) - 1)]
+        while stack:
+            members, candidates = stack.pop()
+            if candidates:
                 low = candidates & -candidates
-                candidates ^= low
-                block = members | low
-                out.append(block)
-                grow(block, candidates & ~dep[low.bit_length() - 1])
-
-        grow(0, (1 << len(dep)) - 1)
+                out.append(members | low)
+                stack.append((members, candidates ^ low))
+                stack.append((members | low, candidates & ~dep[low.bit_length() - 1]))
         graph._cliques = tuple(out), tuple(graph._block_weight[b] for b in out)
     return graph._cliques
 
@@ -272,48 +271,75 @@ def _successors(graph):
     return graph._succ
 
 
-def enumerate_up_to(graph, cutoff):
-    """All traces of weight <= cutoff, sorted by (weight, normal form), in a
-    fresh list served from the longest enumeration the graph holds, of which
-    it is a prefix; only a larger cutoff enumerates again.  The graph keeps
-    rows (block masks, scaled weight, length), not traces, which would tie
-    it into a reference cycle that outlives its users."""
+# A graph's enumeration up to scaled weight `top`, by row: block masks, scaled
+# weight, length, parent row (itself without its last Foata block; the identity's
+# is 0) and last block; child[(parent << n) | block] is the row of parent|block.
+_Basis = namedtuple("_Basis", "top masks weights lengths parents lasts child")
+
+
+def _basis(graph, cutoff):
+    """(the graph's enumeration, number of its rows of weight <= cutoff),
+    enumerating again only for a cutoff above the longest one it holds."""
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     top = _top_level(cutoff, graph.scale)
-    if graph._basis is None or graph._basis[0] < top:
-        graph._basis = top, _enumerate(graph, top)
-    rows = graph._basis[1]
-    return list(starmap(partial(Trace, graph), rows[: bisect_right(rows, top, key=itemgetter(1))]))
+    if graph._basis is None or graph._basis.top < top:
+        graph._basis = _enumerate(graph, top)
+    return graph._basis, bisect_right(graph._basis.weights, top)
+
+
+def enumerate_up_to(graph, cutoff):
+    """All traces of weight <= cutoff, sorted by (weight, normal form), in a
+    fresh list served from the longest enumeration the graph holds, of which
+    it is a prefix; only a larger cutoff enumerates again.  The graph keeps
+    rows of ints and tuples, not traces, which would tie it into a reference
+    cycle that outlives its users."""
+    return _traces(graph, *_basis(graph, cutoff))
+
+
+def _traces(graph, basis, end, max_length=None):
+    """Traces of the first `end` rows of the graph's enumeration, in row
+    order, leaving out those of more than max_length letters."""
+    rows = basis.masks[:end], basis.weights[:end], basis.lengths[:end]
+    if max_length is not None:
+        return [Trace(graph, *row) for row in zip(*rows) if row[2] <= max_length]
+    return list(map(partial(Trace, graph), *rows))
 
 
 def _enumerate(graph, top):
-    """Rows of the traces of scaled weight <= top, in enumerate_up_to's order.
-    Block sequences grow level by level in integer weight, so only the rows
-    of one weight level are sorted, by their serialized form."""
+    """The _Basis of the traces of scaled weight <= top.  Block sequences
+    grow level by level in integer weight, so only the rows of one weight
+    level are sorted, by their serialized form."""
     cliques, weights = _clique_table(graph)
+    n = len(graph.generators)
     sizes = [b.bit_count() for b in cliques]
     names = [".".join(_letters(graph, b)) for b in cliques]
-    succ = _successors(graph)
-    # levels[w]: (serialized form, masks, last clique, length) at scaled weight w
+    # after[i]: (weight, "|" + name, index) of each clique that may follow clique i
+    after = [[(weights[j], "|" + names[j], j) for j in js] for js in _successors(graph)]
+    # levels[w]: (serialized form, parent row, last clique) at scaled weight w
     levels = [[] for _ in range(top + 1)]
     for i, w in enumerate(weights):
         if w <= top:
-            levels[w].append((names[i], (cliques[i],), i, sizes[i]))
-    out = [((), 0, 0)]
+            levels[w].append((names[i], 0, i))
+    out = _Basis(top, [()], [0], [0], [0], [0], {})
+    masks, ws, lengths, parents, lasts, child = out[1:]
     for w in range(1, top + 1):
         level = levels[w]
         levels[w] = None
         level.sort(key=itemgetter(0))
-        for name, masks, last, length in level:
-            out.append((masks, w, length))
-            for j in succ[last]:
-                w2 = w + weights[j]
-                if w2 <= top:
-                    levels[w2].append(
-                        (f"{name}|{names[j]}", masks + (cliques[j],), j, length + sizes[j])
-                    )
+        ws.extend([w] * len(level))
+        room = top - w
+        for row, (name, parent, last) in enumerate(level, len(parents)):
+            block = cliques[last]
+            masks.append(masks[parent] + (block,))
+            lengths.append(lengths[parent] + sizes[last])
+            parents.append(parent)
+            lasts.append(block)
+            child[(parent << n) | block] = row
+            for wj, tail, j in after[last]:
+                if wj <= room:
+                    levels[w + wj].append((name + tail, row, j))
     return out
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qlo import INFINITY, cli, fock, join, normalize, oracles, preset_graph
+from qlo import INFINITY, cli, fock, growth, join, normalize, oracles, preset_graph
 from qlo.growth import MAX_LEVELS
 from qlo.cli import (
     ConfigError,
@@ -330,10 +330,10 @@ def test_exit_computation_on_subcritical_beta(capsys):
 
 @pytest.mark.parametrize("command", ["kms-check", "gibbs"])
 def test_subcritical_beta_exits_before_the_basis_is_built(capsys, monkeypatch, command):
-    def refuse(graph, cutoff):
+    def refuse(graph, top):
         raise AssertionError("the basis was enumerated")
 
-    monkeypatch.setattr(fock, "enumerate_up_to", refuse)
+    monkeypatch.setattr(growth, "_enumerate", refuse)
     code, out, err = run_cli(
         capsys, command, "--preset", "cycle:4", "--cutoff", "13", "--beta", "0.5"
     )
@@ -375,7 +375,7 @@ def test_gibbs_reports_past_the_basis_limit(capsys, monkeypatch, preset, cutoff,
         raise AssertionError("the basis was built")
 
     monkeypatch.setattr(fock, "build_rep", refuse)
-    monkeypatch.setattr(fock, "enumerate_up_to", refuse)
+    monkeypatch.setattr(growth, "_enumerate", refuse)
     start = time.perf_counter()
     code, out, err = run_cli(
         capsys, "gibbs", "--preset", preset, "--cutoff", cutoff, "--beta", "3"

@@ -1,6 +1,7 @@
 """Truncated representation: operator identities, Gibbs numerics, tail bounds."""
 
 import cmath
+import gc
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qlo.fock
 from qlo import (
@@ -17,6 +19,7 @@ from qlo import (
     OperatorIdentityError,
     SparseOperator,
     ThermoContext,
+    build_graph,
     build_rep,
     density,
     divides,
@@ -25,6 +28,7 @@ from qlo import (
     evolution_unitary,
     gibbs_numeric,
     gibbs_value,
+    growth_table,
     kms_numeric_check,
     left_op,
     left_quotient,
@@ -46,6 +50,7 @@ from conftest import (
     make_path3,
     make_weighted_abelian2,
     random_graph,
+    weighted_graphs,
 )
 
 
@@ -62,6 +67,9 @@ def test_sparse_operator_basics():
     assert SparseOperator.diagonal([1, 2, 3]).trace() == 6
     with pytest.raises(ValueError):
         SparseOperator(2, {(0, 5): 1})
+    with pytest.raises(ValueError):
+        SparseOperator(2, {(-1, 0): 1})
+    assert SparseOperator(2, {(0, 0): 0, (1, 0): 1}).entries == {(1, 0): 1}
 
 
 def test_sparse_matmul_matches_dense():
@@ -246,6 +254,80 @@ def test_left_map_matches_multiply_oracle():
             assert qlo.fock._left_map(build_rep(g, cutoff), p) == want, (g, p)
         heavy = [p for p in enumerate_up_to(g, cutoff + 1) if p.weight > cutoff]
         assert all(qlo.fock._left_map(shared, p) == [] for p in heavy[:20])
+
+
+def _largest_cutoff(graph, cutoff, most):
+    """The cutoff lowered in steps of 1/2 until the basis up to it has at most `most` traces."""
+    while cutoff > 0 and growth_table(graph, cutoff).total() > most:
+        cutoff -= Fraction(1, 2)
+    return cutoff
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    weighted_graphs(min_letters=1, max_letters=12),
+    st.integers(2, 10),
+    st.sampled_from([Fraction(1, 6), Fraction(1, 2), 1, 2]),
+)
+def test_block_maps_match_multiply(graph, halves, extra):
+    """The carry-built map of each generator and each clique against L1's
+    multiply, on a fresh graph and on one that first enumerated a larger cutoff."""
+    cutoff = _largest_cutoff(graph, Fraction(halves, 2), 400)
+    longer = build_graph(graph.generators, graph.weights, graph.edges)
+    enumerate_up_to(longer, max(cutoff, _largest_cutoff(longer, cutoff + extra, 3000)))
+    for g in (graph, longer):
+        rep = build_rep(g, cutoff)
+        for block in qlo.growth._cliques(g):
+            p = g.trace(qlo.monoid._letters(g, block))
+            prefix = [x for x in rep.basis if x.weight <= cutoff - p.weight]
+            got = qlo.fock._block_map(rep, block)
+            assert [rep.basis[r] for r in got] == [multiply(p, x) for x in prefix]
+            assert got == [rep.index_of(multiply(p, x)) for x in prefix]
+
+
+def test_index_of_is_none_outside_the_basis():
+    graph = make_path3()
+    longer = enumerate_up_to(graph, 6)
+    rep = build_rep(graph, 3)
+    assert graph._basis.top == 6  # the graph still holds the longer enumeration
+    for row, x in enumerate(longer):
+        assert rep.index_of(x) == (row if x.weight <= 3 else None)
+    assert rep.index_of(normalize(graph, "abcabca")) is None  # past every row
+    assert rep.index_of(normalize(make_path3(), "ab")) == longer.index(normalize(graph, "ab"))
+
+
+def test_basis_is_the_enumeration_built_once(monkeypatch):
+    graph = make_cycle5()
+    built = []
+    real = qlo.fock._traces
+    monkeypatch.setattr(qlo.fock, "_traces", lambda *a: built.append(a[2:]) or real(*a))
+    rep = build_rep(graph, 3)
+    vacuum_projection(rep)
+    left_op(rep, normalize(graph, "ab"))
+    assert built == []  # maps, projections and lookups build no trace
+    basis = rep.basis
+    assert basis == enumerate_up_to(graph, 3) and rep.basis is basis
+    assert [t.length for t in basis] == [t.length for t in enumerate_up_to(make_cycle5(), 3)]
+    assert rep.short_traces(2) == [t for t in basis if t.length <= 2]
+    assert built == [(rep.dim,), (rep.dim, 2)]
+
+
+def test_a_representation_leaves_no_cyclic_garbage():
+    """Counting, enumerating and building maps free everything by reference
+    counting, so jobs that make few containers do not pile up garbage
+    between the collector's rare full passes."""
+    gc.collect()
+    gc.disable()
+    try:
+        graph = make_cycle5()
+        rep = build_rep(graph, 3)
+        vacuum_projection(rep)
+        left_op(rep, normalize(graph, "ab"))
+        assert rep.basis and rep.short_traces(2)
+        del graph, rep
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_left_op_times_adjoint_is_range_projection():
