@@ -2,14 +2,15 @@
 
 The basis is every monoid element of weight at most a cutoff W: the integer
 rows of the graph's enumeration, a trie in which a row is its parent row
-(itself without its last Foata block) extended by that block.  A left
-translation L_p is a cached column -> row partial map (the row of p*x for
-each column x whose product stays in the basis), built without multiplying
-words: the map of a Foata block is one pass over the trie, carrying the
-letters it pushes up a block, and p composes the maps of its blocks, as
-v_p v_q = v_pq.  Composition is indexing, L L^* is the diagonal of preimage
-counts and a range projection is an image set, so the projection
-identities hold exactly in integers at every finite W.
+(itself without its last Foata block) extended by that block; block masks
+and lengths are built only for the traces asked for.  A left translation L_p
+is a cached column -> row partial map (the row of p*x for each column x
+whose product stays in the basis), built without multiplying words: the map
+of a Foata block is one pass over the trie, carrying the letters it pushes
+up a block, and p composes the maps of its blocks, as v_p v_q = v_pq.
+Composition is indexing, L L^* is the diagonal of preimage counts and a
+range projection is an image set, so the projection identities hold exactly
+in integers at every finite W.
 ``SparseOperator`` (dict-of-entries, never dense) is the public type and,
 through its matmul, the independent oracle for those maps.  Floating point
 enters only through the density exp(-beta*H) and the Gibbs/twisted-trace
@@ -150,16 +151,14 @@ class SparseOperator:
 
 
 class TruncatedRep:
-    """Ordered weight-<=W basis of the monoid with an index lookup: the first
-    `dim` rows of the graph's enumeration, which may run past W.  Traces are
-    built only on request; maps and lookups walk the enumeration's trie."""
+    """Ordered weight-<=W basis with an index lookup: the first `dim` rows of
+    the graph's enumeration trie (top, weights, parents, lasts, child), read in
+    place and maybe past W.  Traces are built only on request."""
 
     def __init__(self, graph, cutoff, thermo=None):
         self.graph = graph
         self.cutoff = Fraction(cutoff)
         self._rows, self.dim = _basis(graph, self.cutoff)
-        # scaled weights, ascending because the basis is sorted by weight
-        self._weights = self._rows.weights[: self.dim]
         self._top = math.floor(self.cutoff * graph.scale)
         self._left_cache = {(): list(range(self.dim))}  # p's masks -> L_p's map
         self._density_cache = {}
@@ -183,9 +182,9 @@ class TruncatedRep:
                 return None
         return row if row < self.dim else None
 
-    def thermo(self, tol=1e-12):
+    def thermo(self):
         if self._thermo is None:
-            self._thermo = ThermoContext(self.graph, tol=tol)
+            self._thermo = ThermoContext(self.graph)
         return self._thermo
 
     def __repr__(self):
@@ -214,7 +213,8 @@ def _left_map(rep, p):
     _check_rep_graph(rep, p)
     cached = rep._left_cache.get(p._masks)
     if cached is None:
-        end = bisect_right(rep._weights, rep._top - p._w)
+        # scaled weights ascend because the basis is sorted by weight
+        end = bisect_right(rep._rows.weights, rep._top - p._w, hi=rep.dim)
         cached = []  # when p is heavier than W
         if end:
             cached = _block_map(rep, p._masks[-1])[:end]
@@ -234,9 +234,9 @@ def _block_map(rep, s):
     child(pre(x'), block)."""
     cached = rep._left_cache.get((s,))
     if cached is None:
-        graph, (_, _, _, _, parent, last, child) = rep.graph, rep._rows
+        graph, (_, weights, parent, last, child) = rep.graph, rep._rows
         n, reach = len(graph.generators), graph._dependents
-        end = bisect_right(rep._weights, rep._top - graph._block_weight[s])
+        end = bisect_right(weights, rep._top - graph._block_weight[s], hi=rep.dim)
         cached = rep._left_cache[(s,)] = [child[s]] if end else []
         pre, carry = [0] * end, [s] * end
         for c in range(1, end):
@@ -302,8 +302,8 @@ def vacuum_projection(rep):
 
 def density(rep, beta):
     """Diagonal operator with entries exp(-beta * weight(x))."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not 0 <= beta < math.inf:
+        raise ValueError("beta must be finite and nonnegative")
     return SparseOperator.diagonal(_density_values(rep, beta))
 
 
@@ -311,22 +311,23 @@ def evolution_unitary(rep, t):
     """Diagonal phase operator exp(i*t*weight(x)); conjugation scales
     left translations by the phase of their weight."""
     d = rep.graph.scale
-    return SparseOperator.diagonal(cmath.exp(1j * t * (w / d)) for w in rep._weights)
+    weights = rep._rows.weights[: rep.dim]
+    return SparseOperator.diagonal(cmath.exp(1j * t * (w / d)) for w in weights)
 
 
 def _density_values(rep, beta):
     cached = rep._density_cache.get(beta)
     if cached is None:
         d = rep.graph.scale
-        cached = [math.exp(-beta * (w / d)) for w in rep._weights]
+        cached = [math.exp(-beta * (w / d)) for w in rep._rows.weights[: rep.dim]]
         rep._density_cache[beta] = cached
     return cached
 
 
 def gibbs_numeric(rep, op, beta):
     """Normalized trace of op against the truncated density at beta."""
-    if beta <= 0:
-        raise ComputationError("gibbs evaluation needs beta > 0")
+    if not 0 < beta < math.inf:
+        raise ComputationError("gibbs evaluation needs a finite beta > 0")
     if op.dim != rep.dim:
         raise ValueError("operator dimension does not match the basis")
     weights = _density_values(rep, beta)
@@ -371,8 +372,8 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
     for x in (p1, q1, p2, q2):
         _check_rep_graph(rep, x)
     ctx = rep.thermo()
-    if not beta > ctx.beta_c:
-        raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
+    if not ctx.beta_c < beta < math.inf:
+        raise ComputationError(f"tail bound needs a finite beta > beta_c = {ctx.beta_c:.12g}")
     a_map, b_map = _monomial_map(rep, p1, q1), _monomial_map(rep, p2, q2)
     weights = _density_values(rep, beta)
     z_trunc = sum(weights)

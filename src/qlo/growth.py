@@ -5,7 +5,8 @@ must agree: a transfer-style dynamic program over successor blocks, and the
 reciprocal power series of the clique polynomial.  All arithmetic is exact
 and on integers: growth counts and polynomial coefficients are dense integer
 lists on the exponent lattice (1/scale)*Z, and their Fraction-keyed forms
-(`rows`, `counts()`, `terms`) are views built at the API.
+(`rows`, `counts()`, `terms`) are views built at the API.  The enumeration
+is a trie of integer rows, from which traces are built only on request.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import zip_longest
 from operator import itemgetter
 
@@ -221,8 +221,10 @@ def _times_exp(n, y):
 
 
 def _top_level(cutoff, scale):
-    """floor(cutoff * scale), the highest scaled weight level, at most MAX_LEVELS."""
+    """floor(cutoff * scale), the highest scaled weight level, from 0 to MAX_LEVELS."""
     top = math.floor(Fraction(cutoff) * scale)
+    if top < 0:
+        raise ValueError("cutoff must be nonnegative")
     if top > MAX_LEVELS:
         raise ComputationError(f"{top} scaled weight levels exceed the limit {MAX_LEVELS}")
     return top
@@ -271,18 +273,15 @@ def _successors(graph):
     return graph._succ
 
 
-# A graph's enumeration up to scaled weight `top`, by row: block masks, scaled
-# weight, length, parent row (itself without its last Foata block; the identity's
-# is 0) and last block; child[(parent << n) | block] is the row of parent|block.
-_Basis = namedtuple("_Basis", "top masks weights lengths parents lasts child")
+# A graph's enumeration up to scaled weight `top`, a trie: by row, scaled weight,
+# parent row (itself without its last Foata block; the identity's is 0) and last
+# block; child[(parent << n) | block] is the row of parent|block.  Nothing more.
+_Basis = namedtuple("_Basis", "top weights parents lasts child")
 
 
 def _basis(graph, cutoff):
     """(the graph's enumeration, number of its rows of weight <= cutoff),
     enumerating again only for a cutoff above the longest one it holds."""
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
     top = _top_level(cutoff, graph.scale)
     if graph._basis is None or graph._basis.top < top:
         graph._basis = _enumerate(graph, top)
@@ -292,19 +291,26 @@ def _basis(graph, cutoff):
 def enumerate_up_to(graph, cutoff):
     """All traces of weight <= cutoff, sorted by (weight, normal form), in a
     fresh list served from the longest enumeration the graph holds, of which
-    it is a prefix; only a larger cutoff enumerates again.  The graph keeps
-    rows of ints and tuples, not traces, which would tie it into a reference
-    cycle that outlives its users."""
+    it is a prefix; only a larger cutoff enumerates again.  The graph keeps a
+    trie of ints (top, weights, parents, lasts, child), not traces, which would
+    tie it into a reference cycle that outlives its users."""
     return _traces(graph, *_basis(graph, cutoff))
 
 
 def _traces(graph, basis, end, max_length=None):
-    """Traces of the first `end` rows of the graph's enumeration, in row
-    order, leaving out those of more than max_length letters."""
-    rows = basis.masks[:end], basis.weights[:end], basis.lengths[:end]
-    if max_length is not None:
-        return [Trace(graph, *row) for row in zip(*rows) if row[2] <= max_length]
-    return list(map(partial(Trace, graph), *rows))
+    """Traces of the first `end` rows of the graph's enumeration, in row order,
+    except those of over max_length letters.  One pass derives each row's length,
+    and each kept row's masks, from its parent's (an earlier row, never longer)."""
+    weights, parents, lasts = basis.weights, basis.parents, basis.lasts
+    lengths, masks = [0] * end, [()] * end
+    out = [Trace(graph, (), 0, 0)]  # not graph.identity(), which the graph would keep
+    for row in range(1, end):
+        parent, block = parents[row], lasts[row]
+        lengths[row] = length = lengths[parent] + block.bit_count()
+        if max_length is None or length <= max_length:
+            masks[row] = mask = masks[parent] + (block,)
+            out.append(Trace(graph, mask, weights[row], length))
+    return out
 
 
 def _enumerate(graph, top):
@@ -313,7 +319,6 @@ def _enumerate(graph, top):
     level are sorted, by their serialized form."""
     cliques, weights = _clique_table(graph)
     n = len(graph.generators)
-    sizes = [b.bit_count() for b in cliques]
     names = [".".join(_letters(graph, b)) for b in cliques]
     # after[i]: (weight, "|" + name, index) of each clique that may follow clique i
     after = [[(weights[j], "|" + names[j], j) for j in js] for js in _successors(graph)]
@@ -322,8 +327,8 @@ def _enumerate(graph, top):
     for i, w in enumerate(weights):
         if w <= top:
             levels[w].append((names[i], 0, i))
-    out = _Basis(top, [()], [0], [0], [0], [0], {})
-    masks, ws, lengths, parents, lasts, child = out[1:]
+    out = _Basis(top, [0], [0], [0], {})
+    ws, parents, lasts, child = out[1:]
     for w in range(1, top + 1):
         level = levels[w]
         levels[w] = None
@@ -332,8 +337,6 @@ def _enumerate(graph, top):
         room = top - w
         for row, (name, parent, last) in enumerate(level, len(parents)):
             block = cliques[last]
-            masks.append(masks[parent] + (block,))
-            lengths.append(lengths[parent] + sizes[last])
             parents.append(parent)
             lasts.append(block)
             child[(parent << n) | block] = row
@@ -349,8 +352,6 @@ def growth_table(graph, cutoff):
     The graph keeps the longest count list made so far: a cutoff at or below
     it is served by truncating that list, and only a larger one counts again."""
     cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
     top = _top_level(cutoff, graph.scale)
     if graph._counts is None or len(graph._counts) <= top:
         graph._counts = _count(graph, top)

@@ -28,7 +28,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from qlo import Trace, build_graph, multiply
+from qlo import Trace, build_graph, growth_table, multiply
 
 
 # -- named graphs -------------------------------------------------------------
@@ -120,6 +120,13 @@ def weighted_graphs(draw, min_letters=3, max_letters=5, denominators=(1, 2, 3, 4
         d = draw(st.sampled_from(denominators))
         weights[s] = Fraction(draw(st.integers((d + 1) // 2, 2 * d)), d)
     return build_graph(names, weights, edges)
+
+
+def largest_cutoff(graph, cutoff, most):
+    """The cutoff lowered in steps of 1/2 until the basis up to it has at most `most` traces."""
+    while cutoff > 0 and growth_table(graph, cutoff).total() > most:
+        cutoff -= Fraction(1, 2)
+    return cutoff
 
 
 @st.composite

@@ -22,10 +22,12 @@ def test_summary_counts_wins_in_the_better_direction():
     runs = []
     for p_rate, c_rate, p_ms, c_ms in values:
         for side, rate, ms, failed in (("parent", p_rate, p_ms, 0), ("change", c_rate, c_ms, 1)):
-            runs.append({"workload": "kms", "side": side, "failed": failed,
+            runs.append({"workload": "kms", "side": side, "failed": failed, "correct": True,
                          "jobs_per_s": rate, "job_p50_ms": ms})
+    runs[3]["correct"] = False  # the change's second run failed its CLI parity check
     summary = bench_pairs.summarise(runs, {"jobs_per_s": "higher", "job_p50_ms": "lower"})["kms"]
     assert summary["pairs"] == 3 and summary["failed_jobs"] == {"parent": 0, "change": 3}
+    assert summary["incorrect_runs"] == {"parent": 0, "change": 1}
     rate = summary["jobs_per_s"]
     assert rate["parent"] == {"median": 10, "q1": 9.5, "q3": 10.5}
     assert rate["change"] == {"median": 12, "q1": 11, "q3": 12.5}

@@ -28,7 +28,6 @@ from qlo import (
     evolution_unitary,
     gibbs_numeric,
     gibbs_value,
-    growth_table,
     kms_numeric_check,
     left_op,
     left_quotient,
@@ -48,6 +47,7 @@ from conftest import (
     make_free2,
     make_free3,
     make_path3,
+    largest_cutoff,
     make_weighted_abelian2,
     random_graph,
     weighted_graphs,
@@ -256,13 +256,6 @@ def test_left_map_matches_multiply_oracle():
         assert all(qlo.fock._left_map(shared, p) == [] for p in heavy[:20])
 
 
-def _largest_cutoff(graph, cutoff, most):
-    """The cutoff lowered in steps of 1/2 until the basis up to it has at most `most` traces."""
-    while cutoff > 0 and growth_table(graph, cutoff).total() > most:
-        cutoff -= Fraction(1, 2)
-    return cutoff
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     weighted_graphs(min_letters=1, max_letters=12),
@@ -272,9 +265,9 @@ def _largest_cutoff(graph, cutoff, most):
 def test_block_maps_match_multiply(graph, halves, extra):
     """The carry-built map of each generator and each clique against L1's
     multiply, on a fresh graph and on one that first enumerated a larger cutoff."""
-    cutoff = _largest_cutoff(graph, Fraction(halves, 2), 400)
+    cutoff = largest_cutoff(graph, Fraction(halves, 2), 400)
     longer = build_graph(graph.generators, graph.weights, graph.edges)
-    enumerate_up_to(longer, max(cutoff, _largest_cutoff(longer, cutoff + extra, 3000)))
+    enumerate_up_to(longer, max(cutoff, largest_cutoff(longer, cutoff + extra, 3000)))
     for g in (graph, longer):
         rep = build_rep(g, cutoff)
         for block in qlo.growth._cliques(g):
@@ -399,6 +392,17 @@ def test_density_entries():
     assert abs(
         d.trace() - partition_function(ctx, math.log(2), "truncated", cutoff=2)
     ) <= 1e-12
+
+
+def test_density_and_gibbs_need_a_finite_beta():
+    rep = build_rep(make_free2(), 2)
+    identity = SparseOperator.identity(rep.dim)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            density(rep, beta)
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ComputationError):
+            gibbs_numeric(rep, identity, beta)
 
 
 def test_evolution_unitary_conjugation():
@@ -548,7 +552,7 @@ def test_kms_numeric_requires_supercritical_beta():
     g = make_free2()
     rep = build_rep(g, 4)
     pairs = (g.gen("a"), g.gen("a")), (g.gen("b"), g.gen("b"))
-    for beta in (0.5, math.nan):
+    for beta in (0.5, math.nan, math.inf):
         with pytest.raises(ComputationError):
             kms_numeric_check(rep, *pairs, beta)
     with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from qlo import (
 from conftest import (
     NAMED_GRAPHS,
     bfs_traces_up_to,
+    largest_cutoff,
     make_abelian2,
     make_free2,
     make_free3,
@@ -82,9 +83,17 @@ def test_enumerate_sorted_by_weight_then_normal_form():
     )
 
 
-def test_enumerate_rejects_negative_cutoff():
-    with pytest.raises(ValueError):
-        enumerate_up_to(make_free2(), -1)
+@pytest.mark.parametrize(
+    "cutoff", [-1, Fraction(-1, 1000)], ids=["minus_one", "minus_a_thousandth"]
+)
+@pytest.mark.parametrize(
+    "count",
+    [enumerate_up_to, growth_table, lambda g, cutoff: invert_series(clique_polynomial(g), cutoff)],
+    ids=["enumerate_up_to", "growth_table", "invert_series"],
+)
+def test_counts_reject_negative_cutoff(count, cutoff):
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        count(make_free2(), cutoff)
 
 
 # -- growth tables ---------------------------------------------------------------
@@ -192,6 +201,27 @@ def test_enumerate_up_to_serves_smaller_cutoffs_from_the_largest(make):
         got = enumerate_up_to(graph, cutoff)
         assert _basis_view(got) == _basis_view(enumerate_up_to(make(), cutoff))
         assert all(t.graph is graph for t in got)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    weighted_graphs(min_letters=1, max_letters=12),
+    st.integers(0, 8),
+    st.sampled_from([0, 1, 2, 3, None]),
+)
+def test_traces_match_bfs_oracle(graph, halves, max_length):
+    """_traces, the one place rows become traces, against BFS over right
+    multiplication: the same masks, weights and lengths in the same order, on
+    a fresh graph and on one that first enumerated a larger cutoff."""
+    cutoff = largest_cutoff(graph, Fraction(halves, 2), 300)
+    oracle = [(t._masks, t._w, t.length) for t in bfs_traces_up_to(graph, cutoff)
+              if max_length is None or t.length <= max_length]
+    longer = build_graph(graph.generators, graph.weights, graph.edges)
+    enumerate_up_to(longer, largest_cutoff(longer, cutoff + 2, 3000))
+    for g in (graph, longer):
+        got = qlo.growth._traces(g, *qlo.growth._basis(g, cutoff), max_length)
+        assert [(t._masks, t._w, t.length) for t in got] == oracle
+        assert all(t.graph is g for t in got)
 
 
 def test_enumerate_up_to_enumerates_again_above_the_largest(monkeypatch):

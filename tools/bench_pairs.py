@@ -12,7 +12,8 @@ alternates from pair to pair, so that a drift in machine speed falls on both.
 The output holds each side's median and quartiles (inclusive method) of every
 end-to-end metric that BENCHMARK.json names, the ratio of the medians
 (change / parent), how many pairs the change won in the metric's better
-direction, the failed jobs, every run, and with --traced each side's median
+direction, the failed jobs, the runs whose CLI parity check failed
+(``correct: false``), every run, and with --traced each side's median
 per-layer metrics over traced pairs.  Only the standard library is used.
 """
 
@@ -66,14 +67,17 @@ def _spread(values):
 
 
 def summarise(runs, metrics):
-    """Per workload: pairs, failed jobs and, per metric, both sides' spread,
-    the ratio of medians and the change's wins."""
+    """Per workload: pairs, failed jobs, runs whose CLI parity check failed
+    and, per metric, both sides' spread, the ratio of medians and the
+    change's wins."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides = {side: [r for r in runs if r["workload"] == workload and r["side"] == side]
                  for side in ("parent", "change")}
         entry = {"pairs": len(sides["change"]),
-                 "failed_jobs": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()}}
+                 "failed_jobs": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
+                 "incorrect_runs": {side: sum(not r["correct"] for r in rs)
+                                    for side, rs in sides.items()}}
         for name, better in metrics.items():
             values = {side: [r[name] for r in rs] for side, rs in sides.items()}
             sign = 1 if better == "higher" else -1
