@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .growth import _basis, _cliques, _traces, growth_table
+# MAX_BASIS_DIM is unused: _basis guards it; qlo.fock.MAX_BASIS_DIM still names it
+from .growth import MAX_BASIS_DIM, _basis, _cliques, _top_level, _traces  # noqa: F401
 # multiply is unused; bench/tests checks that tracing restores qlo.fock.multiply
-from .monoid import INFINITY, MismatchedGraphError, join, multiply  # noqa: F401
+from .monoid import INFINITY, join, multiply  # noqa: F401
 from .monoid import _check_same_graph, _letters
 from .thermo import ComputationError, ThermoContext, tail_mass
 
@@ -49,10 +50,6 @@ __all__ = [
     "dynamics_factor",
     "kms_numeric_check",
 ]
-
-# largest basis build_rep enumerates; kms-check and verify are its CLI users
-MAX_BASIS_DIM = 1_000_000
-
 
 class OperatorIdentityError(RuntimeError):
     """An identity that must hold exactly failed; indicates a bug."""
@@ -153,13 +150,16 @@ class SparseOperator:
 class TruncatedRep:
     """Ordered weight-<=W basis with an index lookup: the first `dim` rows of
     the graph's enumeration trie (top, weights, parents, lasts, child), read in
-    place and maybe past W.  Traces are built only on request."""
+    place and maybe past W.  Traces are built only on request; rep.thermo()
+    returns ``thermo`` when one over the same graph is passed in."""
 
     def __init__(self, graph, cutoff, thermo=None):
         self.graph = graph
+        if thermo is not None:
+            _check_same_graph(self, thermo)
         self.cutoff = Fraction(cutoff)
+        self._top = _top_level(self.cutoff, graph.scale)
         self._rows, self.dim = _basis(graph, self.cutoff)
-        self._top = math.floor(self.cutoff * graph.scale)
         self._left_cache = {(): list(range(self.dim))}  # p's masks -> L_p's map
         self._density_cache = {}
         self._thermo = thermo
@@ -192,16 +192,7 @@ class TruncatedRep:
 
 
 def build_rep(graph, cutoff, thermo=None):
-    """Weight-<=cutoff basis, deterministically ordered; rep.thermo() returns
-    ``thermo`` when one is passed in.  A basis counted (by growth table)
-    above MAX_BASIS_DIM raises ComputationError instead of being enumerated."""
-    if thermo is not None and thermo.graph != graph:
-        raise MismatchedGraphError("thermo context lives over another graph")
-    dim = growth_table(graph, cutoff).total()
-    if dim > MAX_BASIS_DIM:
-        # no int-to-str limit is below 640 digits, so a longer count is shown by its bits
-        shown = dim if dim < 10**600 else f"at least 2^{dim.bit_length() - 1}"
-        raise ComputationError(f"basis dimension {shown} exceeds the limit {MAX_BASIS_DIM}")
+    """The TruncatedRep of weight <= cutoff (ComputationError past MAX_BASIS_DIM)."""
     return TruncatedRep(graph, cutoff, thermo)
 
 
@@ -210,7 +201,7 @@ def _left_map(rep, p):
     of the basis prefix w(x) <= W - w(p), found by bisection; L_p drops
     every later column.  No word is multiplied: p is the product of its
     Foata blocks, so L_p composes their block maps, innermost first."""
-    _check_rep_graph(rep, p)
+    _check_same_graph(rep, p)
     cached = rep._left_cache.get(p._masks)
     if cached is None:
         # scaled weights ascend because the basis is sorted by weight
@@ -370,7 +361,7 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
         raise ValueError("tol must be positive")
     (p1, q1), (p2, q2) = pair1, pair2
     for x in (p1, q1, p2, q2):
-        _check_rep_graph(rep, x)
+        _check_same_graph(rep, x)
     ctx = rep.thermo()
     if not ctx.beta_c < beta < math.inf:
         raise ComputationError(f"tail bound needs a finite beta > beta_c = {ctx.beta_c:.12g}")
@@ -409,8 +400,3 @@ def _fixed_point_mass(outer, inner, weights):
     return sum(
         w for x, (r, w) in enumerate(zip(inner, weights)) if r >= 0 and outer[r] == x
     )
-
-
-def _check_rep_graph(rep, p):
-    if p.graph is not rep.graph and p.graph != rep.graph:
-        raise MismatchedGraphError("trace does not live over the basis graph")

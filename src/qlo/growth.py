@@ -35,11 +35,12 @@ __all__ = [
 ]
 
 MAX_LEVELS = 10_000  # most scaled weight levels a count or an enumeration runs over
+MAX_BASIS_DIM = 1_000_000  # most traces an enumeration holds
 
 
 class ComputationError(RuntimeError):
     """A numeric request outside its domain (e.g. beta at or below beta_c,
-    or a cutoff past MAX_LEVELS)."""
+    or a cutoff past MAX_LEVELS or an enumeration past MAX_BASIS_DIM)."""
 
 
 class WeightedPolynomial:
@@ -281,9 +282,16 @@ _Basis = namedtuple("_Basis", "top weights parents lasts child")
 
 def _basis(graph, cutoff):
     """(the graph's enumeration, number of its rows of weight <= cutoff),
-    enumerating again only for a cutoff above the longest one it holds."""
+    enumerating again only for a cutoff above the longest one it holds.  An
+    enumeration counted (by growth table) past MAX_BASIS_DIM raises
+    ComputationError instead of being made."""
     top = _top_level(cutoff, graph.scale)
     if graph._basis is None or graph._basis.top < top:
+        dim = growth_table(graph, cutoff).total()
+        if dim > MAX_BASIS_DIM:
+            # no int-to-str limit is below 640 digits, so a longer count is shown by its bits
+            shown = dim if dim < 10**600 else f"at least 2^{dim.bit_length() - 1}"
+            raise ComputationError(f"basis dimension {shown} exceeds the limit {MAX_BASIS_DIM}")
         graph._basis = _enumerate(graph, top)
     return graph._basis, bisect_right(graph._basis.weights, top)
 
@@ -293,7 +301,8 @@ def enumerate_up_to(graph, cutoff):
     fresh list served from the longest enumeration the graph holds, of which
     it is a prefix; only a larger cutoff enumerates again.  The graph keeps a
     trie of ints (top, weights, parents, lasts, child), not traces, which would
-    tie it into a reference cycle that outlives its users."""
+    tie it into a reference cycle that outlives its users.  More traces than
+    MAX_BASIS_DIM raise ComputationError."""
     return _traces(graph, *_basis(graph, cutoff))
 
 
@@ -303,7 +312,7 @@ def _traces(graph, basis, end, max_length=None):
     and each kept row's masks, from its parent's (an earlier row, never longer)."""
     weights, parents, lasts = basis.weights, basis.parents, basis.lasts
     lengths, masks = [0] * end, [()] * end
-    out = [Trace(graph, (), 0, 0)]  # not graph.identity(), which the graph would keep
+    out = [graph.identity()]
     for row in range(1, end):
         parent, block = parents[row], lasts[row]
         lengths[row] = length = lengths[parent] + block.bit_count()

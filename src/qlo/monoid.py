@@ -88,9 +88,9 @@ def _as_weight(value, generator):
 class IndependenceGraph:
     """Commutation graph: vertices generate, edges mean 'these commute'.
 
-    Immutable, so what derives from it is kept once made: the identity trace,
-    the hash, the per-clique tables ``_dependents`` and ``_block_weight`` (a
-    Foata block's letters commute, so a block mask is always a clique) and, for
+    Immutable, so what derives from it is kept once made: the hash, the
+    per-clique tables ``_dependents`` and ``_block_weight`` (a Foata block's
+    letters commute, so a block mask is always a clique) and, for
     ``qlo.growth``, the clique masks with their scaled weights (``_cliques``),
     the successor lists (``_succ``), and the longest growth count (``_counts``)
     and enumeration (``_basis``) so far, which serve every cutoff up to theirs."""
@@ -103,7 +103,6 @@ class IndependenceGraph:
         "_dep",
         "_w",
         "_scale",
-        "_identity",
         "_hash",
         "_dependents",
         "_block_weight",
@@ -156,7 +155,7 @@ class IndependenceGraph:
         self._dep = tuple(dep)
         self._w = tuple(int(table[s] * scale) for s in gens)
         self._scale = scale
-        self._identity = self._hash = None
+        self._hash = None
         self._dependents = _MaskTable(self._dep, or_)
         self._block_weight = _MaskTable(self._w, add)
         self._cliques = self._succ = self._counts = self._basis = None
@@ -185,9 +184,7 @@ class IndependenceGraph:
     # -- element constructors -------------------------------------------
 
     def identity(self):
-        if self._identity is None:
-            self._identity = Trace(self, (), 0, 0)
-        return self._identity
+        return Trace(self, (), 0, 0)
 
     def trace(self, word):
         return normalize(self, word)
@@ -361,8 +358,6 @@ def _product(reach, pm, qm):
     Once a block of q lands inside the top block, every later block of q
     depends on the block before it and stacks on top unchanged.
     """
-    if not pm:
-        return qm
     blocks = list(pm)
     for j, b in enumerate(qm):
         _drop(reach, blocks, b)
@@ -423,7 +418,7 @@ def _join_rest(reach, pm, qm):
 
 def _check_same_graph(p, q):
     if p.graph is not q.graph and p.graph != q.graph:
-        raise MismatchedGraphError("traces come from different graphs")
+        raise MismatchedGraphError("operands live over different graphs")
 
 
 # -- operations -------------------------------------------------------------

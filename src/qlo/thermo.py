@@ -206,7 +206,7 @@ def partition_function(ctx, beta, method="closed", cutoff=None):
 
     "closed" evaluates the reciprocal of the clique polynomial at
     t = exp(-beta) and requires beta above the critical value; "truncated"
-    sums the growth table up to the cutoff and works for any beta > 0.
+    sums the growth table up to the cutoff and works for any finite beta > 0.
     """
     if method == "closed":
         if not beta > ctx.beta_c:
@@ -221,8 +221,8 @@ def partition_function(ctx, beta, method="closed", cutoff=None):
     if method == "truncated":
         if cutoff is None:
             raise ValueError("truncated method requires a cutoff")
-        if not beta > 0:
-            raise ComputationError("truncated sum needs beta > 0")
+        if not 0 < beta < math.inf:
+            raise ComputationError("truncated sum needs a finite beta > 0")
         return ctx.growth(cutoff).truncated_sum(beta)
     raise ValueError(f"unknown method {method!r}")
 

@@ -436,6 +436,9 @@ def test_absurd_cutoffs_fail_fast(capsys, argv):
         (["kms-check", "--preset", "free:2", "--beta", "nan", "--cutoff", "4"], "--beta"),
         (["beta-c", "--preset", "cycle:5", "--tol", "nan"], "--tol"),
         (["roots", "--preset", "path:3", "--tol", "inf"], "--tol"),
+        (["verify", "--preset", "path:3", "--cutoff", "-1"], "--cutoff"),
+        (["kms-check", "--preset", "free:2", "--beta", "3", "--cutoff", "4", "--samples", "0"],
+         "--samples"),
     ],
 )
 def test_exit_validation_on_bad_numbers(capsys, argv, flag):
@@ -443,6 +446,15 @@ def test_exit_validation_on_bad_numbers(capsys, argv, flag):
     assert code == cli.EXIT_VALIDATION
     assert out == ""
     assert flag in err and "Traceback" not in err
+
+
+def test_exit_validation_on_malformed_config(capsys, tmp_path):
+    path = tmp_path / "monoid.json"
+    path.write_text('{"generators": [')
+    code, out, err = run_cli(capsys, "growth", "--config", str(path), "--cutoff", "3")
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert f"{path}: malformed JSON" in err and "Traceback" not in err
 
 
 def run_python(*argv):

@@ -19,6 +19,7 @@ from qlo import (
     OperatorIdentityError,
     SparseOperator,
     ThermoContext,
+    TruncatedRep,
     build_graph,
     build_rep,
     density,
@@ -113,6 +114,23 @@ def test_build_rep_takes_a_thermo_context():
     assert build_rep(g, 2).thermo() is not ctx
     with pytest.raises(MismatchedGraphError):
         build_rep(make_free2(), 2, thermo=ctx)
+
+
+def test_truncated_rep_checks_its_thermo_context():
+    ctx = ThermoContext(make_free2())
+    with pytest.raises(MismatchedGraphError):
+        TruncatedRep(make_path3(), 3, thermo=ctx)
+    assert TruncatedRep(make_free2(), 3, thermo=ctx).thermo() is ctx  # an equal graph
+
+
+@pytest.mark.parametrize("make", [enumerate_up_to, TruncatedRep, build_rep])
+def test_every_way_to_the_basis_passes_the_size_guard(make):
+    # free:9 has (9**21 - 1) / 8 traces of weight <= 20; enumerating them would exhaust memory
+    start = time.perf_counter()
+    message = "^basis dimension 13677373641439044901 exceeds the limit 1000000$"
+    with pytest.raises(ComputationError, match=message):
+        make(preset_graph("free:9"), 20)
+    assert time.perf_counter() - start < 5
 
 
 def test_build_rep_guard_past_the_int_to_str_limit():

@@ -86,6 +86,8 @@ def test_normalize_spec_examples(path3):
     assert normalize(path3, "ba").key == (("a", "b"),)
     assert normalize(path3, "ca").key == (("c",), ("a",))
     assert normalize(path3, "").is_identity()
+    # the graph keeps no identity trace, which would make a graph<->trace cycle
+    assert path3.identity() == normalize(path3, "") and path3.identity() is not path3.identity()
 
 
 def test_normalize_rejects_unknown_letter(path3):

@@ -112,6 +112,15 @@ def test_clique_roots_path_graph():
     assert report.subcritical == ()
 
 
+def test_clique_roots_closer_than_twice_tol_merge():
+    # at tol 0.3 the roots 1/2 and 1 of 1 - 3t + 2t^2 are one flagged estimate
+    report = clique_roots_in_unit_interval(ThermoContext(make_path3()), 0.3)
+    (root,) = report.roots
+    assert (root.value, root.multiplicity, root.merged) == (0.5, 2, True)
+    assert (root.t_lo, root.t_hi) == (Fraction(1, 2), 1)
+    assert report.subcritical == ()
+
+
 def test_clique_roots_free_and_abelian():
     report = clique_roots_in_unit_interval(ThermoContext(make_free2()), 1e-10)
     assert [(r.value, r.multiplicity) for r in report.roots] == [(0.5, 1)]
@@ -202,6 +211,7 @@ def test_partition_function_rejects_subcritical_beta():
     for call in (
         lambda: partition_function(ctx, math.nan),
         lambda: partition_function(ctx, math.nan, "truncated", cutoff=4),
+        lambda: partition_function(ctx, math.inf, "truncated", cutoff=4),
         lambda: tail_mass(ctx, math.nan, 4),
     ):
         with pytest.raises(ComputationError):

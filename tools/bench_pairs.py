@@ -12,9 +12,16 @@ alternates from pair to pair, so that a drift in machine speed falls on both.
 The output holds each side's median and quartiles (inclusive method) of every
 end-to-end metric that BENCHMARK.json names, the ratio of the medians
 (change / parent), how many pairs the change won in the metric's better
-direction, the failed jobs, the runs whose CLI parity check failed
+direction, how far the change's median moved in the worse direction
+(``worse_by``, a fraction of the parent's median; below 0 it improved) and
+whether that is within the metric's bound, whether the gap between the
+medians exceeds the parent's interquartile range (``resolved``), the failed
+jobs and their share, the runs whose CLI parity check failed
 (``correct: false``), every run, and with --traced each side's median
-per-layer metrics over traced pairs.  Only the standard library is used.
+per-layer metrics over traced pairs.  ``verdict`` lists every workload where
+a metric is worse than its bound, more jobs fail or more runs are incorrect
+than at the parent; it passes when the list is empty.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -67,28 +74,52 @@ def _spread(values):
 
 
 def summarise(runs, metrics):
-    """Per workload: pairs, failed jobs, runs whose CLI parity check failed
-    and, per metric, both sides' spread, the ratio of medians and the
-    change's wins."""
+    """Per workload: pairs, failed jobs and their share of the attempted,
+    runs whose CLI parity check failed and, per metric (name -> its
+    BENCHMARK.json entry with "better" and "bound"), both sides' spread, the
+    ratio of medians, the change's wins, worse_by, within_bound and resolved."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides = {side: [r for r in runs if r["workload"] == workload and r["side"] == side]
                  for side in ("parent", "change")}
-        entry = {"pairs": len(sides["change"]),
-                 "failed_jobs": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
+        failed = {side: sum(r["failed"] for r in rs) for side, rs in sides.items()}
+        entry = {"pairs": len(sides["change"]), "failed_jobs": failed,
+                 "failed_share": {side: failed[side] / max(sum(r["attempted"] for r in rs), 1)
+                                  for side, rs in sides.items()},
                  "incorrect_runs": {side: sum(not r["correct"] for r in rs)
                                     for side, rs in sides.items()}}
-        for name, better in metrics.items():
+        for name, spec in metrics.items():
             values = {side: [r[name] for r in rs] for side, rs in sides.items()}
-            sign = 1 if better == "higher" else -1
+            sign = 1 if spec["better"] == "higher" else -1
             parent, change = values["parent"], values["change"]
+            spread = {side: _spread(v) for side, v in values.items()}
+            p_med, c_med = spread["parent"]["median"], spread["change"]["median"]
+            worse_by = sign * (p_med - c_med) / p_med
             entry[name] = {
-                **{side: _spread(v) for side, v in values.items()},
-                "ratio_of_medians": statistics.median(change) / statistics.median(parent),
+                **spread,
+                "ratio_of_medians": c_med / p_med,
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "worse_by": worse_by,
+                "within_bound": worse_by <= spec["bound"],
+                "resolved": abs(c_med - p_med) > spread["parent"]["q3"] - spread["parent"]["q1"],
             }
         out[workload] = entry
     return out
+
+
+def verdict(summary, metrics):
+    """{"pass": bool, "reasons": [...]}: a reason for each workload metric worse
+    than its bound, a larger share of failed jobs or more incorrect runs."""
+    reasons = []
+    for workload, entry in summary.items():
+        reasons += [f"{workload} {name} worse by {entry[name]['worse_by']:.1%}, "
+                    f"bound {metrics[name]['bound']:.0%}"
+                    for name in metrics if not entry[name]["within_bound"]]
+        for key in ("failed_share", "incorrect_runs"):
+            if entry[key]["change"] > entry[key]["parent"]:
+                reasons.append(f"{workload} {key} {entry[key]['change']:g} "
+                               f"above the parent's {entry[key]['parent']:g}")
+    return {"pass": not reasons, "reasons": reasons}
 
 
 def main(argv=None):
@@ -105,7 +136,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     runs, pair = [], 0
     for workload, seeds in args.runs:
@@ -120,8 +151,10 @@ def main(argv=None):
                 print(json.dumps(runs[-1]), file=sys.stderr, flush=True)
             pair += 1
 
+    summary = summarise(runs, metrics)
     report = {
         "what": args.what,
+        "verdict": verdict(summary, metrics),
         "parent_commit": _commit(args.parent),
         "command": "python3 bench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace <0|1>",
@@ -130,7 +163,7 @@ def main(argv=None):
                    "times are scaled to the reference speed by the run's probe",
         "pairs_run_in_order": "each pair ran its two sides back to back; "
                               "'pair_first' names the side that ran first, alternating",
-        "summary_trace0": summarise(runs, metrics),
+        "summary_trace0": summary,
         "runs": runs,
     }
     if args.traced:
