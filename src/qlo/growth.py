@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 from operator import itemgetter
 
 from .monoid import Trace, _letters
@@ -36,11 +36,14 @@ __all__ = [
 
 MAX_LEVELS = 10_000  # most scaled weight levels a count or an enumeration runs over
 MAX_BASIS_DIM = 1_000_000  # most traces an enumeration holds
+MAX_CLIQUES = 1_000_000  # most cliques the walks of one clique listing make
+MAX_DEGREE = 20_000  # highest scaled degree of a clique polynomial
 
 
 class ComputationError(RuntimeError):
     """A numeric request outside its domain (e.g. beta at or below beta_c,
-    or a cutoff past MAX_LEVELS or an enumeration past MAX_BASIS_DIM)."""
+    or a cutoff past MAX_LEVELS, an enumeration past MAX_BASIS_DIM, a clique
+    listing past MAX_CLIQUES or a clique polynomial past MAX_DEGREE)."""
 
 
 class WeightedPolynomial:
@@ -57,8 +60,9 @@ class WeightedPolynomial:
             exponent = Fraction(exponent)
             if exponent < 0:
                 raise ValueError(f"negative exponent {exponent}")
-            if int(coeff):
-                clean[exponent] = int(coeff)
+            coeff = _integer(coeff, "coefficient")
+            if coeff:
+                clean[exponent] = coeff
         self.scale = math.lcm(*(e.denominator for e in clean))
         self._coeffs = [0] * (int(max(clean) * self.scale) + 1) if clean else []
         for e, c in clean.items():
@@ -143,6 +147,13 @@ class WeightedPolynomial:
         return f"WeightedPolynomial({self})"
 
 
+def _integer(value, what):
+    """value as an int; one with a fractional part raises ValueError."""
+    if int(value) != value:
+        raise ValueError(f"{what} {value} is not an integer")
+    return int(value)
+
+
 def _spread(coeffs, step):
     """A coefficient list moved onto a lattice `step` times finer."""
     out = [0] * ((len(coeffs) - 1) * step + 1)
@@ -170,7 +181,7 @@ class GrowthTable:
     __slots__ = ("_series", "cutoff")
 
     def __init__(self, rows, cutoff):
-        rows = [(Fraction(w), int(n)) for w, n in rows]
+        rows = [(Fraction(w), _integer(n, "count")) for w, n in rows]
         if not rows or rows[0] != (Fraction(0), 1):
             raise ValueError("a growth table starts with the identity row (0, 1)")
         if any(w2 <= w1 for (w1, _), (w2, _) in zip(rows, rows[1:])):
@@ -241,37 +252,44 @@ class InversionReport:
 # -- clique structure --------------------------------------------------------
 
 
-def _clique_table(graph):
-    """(block masks, scaled weights) of the nonempty cliques, enumerated once
-    per graph and kept in ``graph._cliques``."""
-    if graph._cliques is None:
-        # depth first, each clique before its extensions by higher letters (a
-        # letter's dep holds itself); a recursive closure would be a reference cycle
-        dep, out, stack = graph._dep, [], [(0, (1 << len(graph._dep)) - 1)]
-        while stack:
-            members, candidates = stack.pop()
-            if candidates:
-                low = candidates & -candidates
-                out.append(members | low)
-                stack.append((members, candidates ^ low))
-                stack.append((members | low, candidates & ~dep[low.bit_length() - 1]))
-        graph._cliques = tuple(out), tuple(graph._block_weight[b] for b in out)
-    return graph._cliques
+def _walk(graph, mask, top, tally):
+    """Yield (block mask, scaled weight) of each nonempty clique inside `mask`
+    of scaled weight <= top, depth first, each before its extensions by higher
+    letters; weights are positive, so a clique past top ends its branch.  The
+    walks of one listing share a `tally` (itertools.count(1)) of the cliques
+    they yield, and raise ComputationError once it passes MAX_CLIQUES."""
+    dep, w, stack = graph._dep, graph._w, [(0, 0, mask)]  # a letter's dep holds itself
+    while stack:
+        members, weight, candidates = stack.pop()
+        if candidates:
+            low = candidates & -candidates
+            k = low.bit_length() - 1
+            stack.append((members, weight, candidates ^ low))
+            if weight + w[k] <= top:
+                if next(tally) > MAX_CLIQUES:
+                    raise ComputationError(f"more cliques than the limit {MAX_CLIQUES}")
+                yield members | low, weight + w[k]
+                stack.append((members | low, weight + w[k], candidates & ~dep[k]))
 
 
 def _cliques(graph, include_empty=False):
-    """All cliques of the commutation graph, as block masks."""
-    return ((0,) if include_empty else ()) + _clique_table(graph)[0]
+    """All cliques of the commutation graph, as block masks, kept on the graph."""
+    if graph._cliques is None:
+        walk = _walk(graph, (1 << len(graph._dep)) - 1, sum(graph._w), count(1))
+        graph._cliques = tuple(b for b, _ in walk)
+    return ((0,) if include_empty else ()) + graph._cliques
 
 
-def _successors(graph):
-    """succ[i] = indices of cliques allowed directly after clique i, kept on the graph."""
-    if graph._succ is None:
-        cliques = _cliques(graph)
-        # every letter of a successor depends on some letter of clique i
-        reach = [graph._dependents[b] for b in cliques]
-        graph._succ = [[j for j, c in enumerate(cliques) if not c & ~r] for r in reach]
-    return graph._succ
+def _lists(graph, top):
+    """(masks, scaled weights, successor lists) of the cliques of scaled weight
+    <= top.  succ[i] indexes the cliques that may follow clique i in a Foata
+    normal form, those inside its dependents mask: one walk per distinct mask."""
+    tally = count(1)
+    weights = dict(_walk(graph, (1 << len(graph._dep)) - 1, top, tally))  # mask: weight
+    index = {b: i for i, b in enumerate(weights)}
+    reaches = [graph._dependents[b] for b in weights]
+    inside = {r: [index[c] for c, _ in _walk(graph, r, top, tally)] for r in set(reaches)}
+    return list(weights), list(weights.values()), [inside[r] for r in reaches]
 
 
 # A graph's enumeration up to scaled weight `top`, a trie: by row, scaled weight,
@@ -326,16 +344,15 @@ def _enumerate(graph, top):
     """The _Basis of the traces of scaled weight <= top.  Block sequences
     grow level by level in integer weight, so only the rows of one weight
     level are sorted, by their serialized form."""
-    cliques, weights = _clique_table(graph)
+    cliques, weights, succ = _lists(graph, top)
     n = len(graph.generators)
     names = [".".join(_letters(graph, b)) for b in cliques]
     # after[i]: (weight, "|" + name, index) of each clique that may follow clique i
-    after = [[(weights[j], "|" + names[j], j) for j in js] for js in _successors(graph)]
+    after = [[(weights[j], "|" + names[j], j) for j in js] for js in succ]
     # levels[w]: (serialized form, parent row, last clique) at scaled weight w
     levels = [[] for _ in range(top + 1)]
     for i, w in enumerate(weights):
-        if w <= top:
-            levels[w].append((names[i], 0, i))
+        levels[w].append((names[i], 0, i))
     out = _Basis(top, [0], [0], [0], {})
     ws, parents, lasts, child = out[1:]
     for w in range(1, top + 1):
@@ -375,13 +392,13 @@ def _count(graph, top):
     ends[w][j] counts the block sequences of scaled weight w ending in clique
     j, and slot `start` the empty one; it sums ends[w - w(j)] over the slots j
     may follow.  j may follow itself, so each itemgetter returns a tuple."""
-    weights = _clique_table(graph)[1]
+    _, weights, succ = _lists(graph, top)
     start = len(weights)
     pred = [[start] for _ in weights]
-    for i, after in enumerate(_successors(graph)):
+    for i, after in enumerate(succ):
         for j in after:
             pred[j].append(i)
-    pad = max(weights)  # ends[pad + w] is level w; the levels below 0 are empty
+    pad = max(weights, default=0)  # ends[pad + w] is level w; the levels below 0 are empty
     ends = [[0] * (start + 1)] * pad + [[0] * start + [1]]
     pulls = [(itemgetter(*p), pad - w) for p, w in zip(pred, weights)]
     for w in range(1, top + 1):
@@ -391,8 +408,13 @@ def _count(graph, top):
 
 def clique_polynomial(graph):
     """Alternating clique sum: coefficient (-1)^|F| at exponent w(F)."""
-    coeffs = [1] + [0] * sum(graph._w)
-    for block, w in zip(*_clique_table(graph)):
+    cliques = _cliques(graph)
+    weights = [graph._block_weight[b] for b in cliques]
+    degree = max(weights)
+    if degree > MAX_DEGREE:
+        raise ComputationError(f"clique polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
+    coeffs = [1] + [0] * degree
+    for block, w in zip(cliques, weights):
         coeffs[w] += -1 if block.bit_count() & 1 else 1
     return _poly(coeffs, graph.scale)
 

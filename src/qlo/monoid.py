@@ -91,9 +91,9 @@ class IndependenceGraph:
     Immutable, so what derives from it is kept once made: the hash, the
     per-clique tables ``_dependents`` and ``_block_weight`` (a Foata block's
     letters commute, so a block mask is always a clique) and, for
-    ``qlo.growth``, the clique masks with their scaled weights (``_cliques``),
-    the successor lists (``_succ``), and the longest growth count (``_counts``)
-    and enumeration (``_basis``) so far, which serve every cutoff up to theirs."""
+    ``qlo.growth``, the clique masks (``_cliques``), and the longest growth
+    count (``_counts``) and enumeration (``_basis``) so far, which serve every
+    cutoff up to theirs."""
 
     __slots__ = (
         "generators",
@@ -107,7 +107,6 @@ class IndependenceGraph:
         "_dependents",
         "_block_weight",
         "_cliques",
-        "_succ",
         "_counts",
         "_basis",
     )
@@ -158,7 +157,7 @@ class IndependenceGraph:
         self._hash = None
         self._dependents = _MaskTable(self._dep, or_)
         self._block_weight = _MaskTable(self._w, add)
-        self._cliques = self._succ = self._counts = self._basis = None
+        self._cliques = self._counts = self._basis = None
 
     # -- basic queries -------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Shared graphs and the test-only independent oracles.
 
-The oracles deliberately avoid the code paths they check: word rewriting for
-normal forms (``commutation_class``), BFS over right multiplication for
+The oracles deliberately avoid the code paths they check: word rewriting
+for normal forms (``commutation_class``), BFS over right multiplication for
 enumeration (``bfs_traces_up_to``), factorization search for divisibility
 (``divides_by_word_search``), a subset scan for cliques
-(``cliques_by_subset_scan``), rational Horner evaluation for polynomial signs
-(``fraction_horner``), bisection on Fraction endpoints for root refinement
+(``cliques_by_subset_scan``), a scan of every ordered pair of cliques for
+the cliques that may follow each one (``successors_by_pair_scan``),
+rational Horner evaluation for polynomial signs (``fraction_horner``),
+bisection on Fraction endpoints for root refinement
 (``fraction_halvings``), Sturm sequences of the squarefree part for root
 counts and multiplicities (``fraction_sturm_count``,
 ``fraction_multiplicity``), the closed-form weight counts of path:3 for its
@@ -13,10 +15,10 @@ growth-series tail (``path3_relative_tail``), Fraction-keyed clique sums
 and series recurrences for L2 (``reference_clique_terms``,
 ``reference_inverse_terms``), and letter-by-letter Foata block kernels with
 their product, quotient and join built on them (``reference_insert``,
-``reference_remove_front``, ...).  The oracles that ``qlo
-verify`` also runs live in ``qlo.oracles``: the minimal-upper-bound search
-for joins (``join_by_search``, ``join_mismatch``), the join translation
-identity (``translation_identity_holds``) and the Wick round trip
+``reference_remove_front``, ...).  The oracles that ``qlo verify`` also
+runs live in ``qlo.oracles``: the minimal-upper-bound search for joins
+(``join_by_search``, ``join_mismatch``), the join translation identity
+(``translation_identity_holds``) and the Wick round trip
 (``wick_round_trip_holds``).
 """
 
@@ -222,6 +224,21 @@ def cliques_by_subset_scan(graph):
             ):
                 out.append(frozenset(subset))
     return out
+
+
+def letters_after(graph, clique):
+    """The letters that may follow a clique in a Foata normal form: those equal
+    to, or not commuting with, one of its letters."""
+    return frozenset(
+        r for r in graph.generators if any(r == s or not graph.commutes(r, s) for s in clique)
+    )
+
+
+def successors_by_pair_scan(graph, cliques):
+    """succ[i] = indices of the cliques (letter sets) that may follow cliques[i]
+    in a Foata normal form, testing every ordered pair."""
+    after = [letters_after(graph, b) for b in cliques]
+    return [[j for j, c in enumerate(cliques) if c <= reach] for reach in after]
 
 
 def reference_clique_terms(graph):

@@ -360,6 +360,54 @@ def test_basis_size_guard_fails_fast(capsys, argv, dim):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["clique-poly", "--preset", "abelian:24"],
+        ["growth", "--preset", "abelian:16", "--cutoff", "16"],
+    ],
+)
+def test_clique_count_guard_fails_fast(capsys, argv):
+    # 2^24 - 1 cliques; and 2^16 - 1 with 3^16 - 2^16 entries in their successor lists
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == cli.EXIT_COMPUTATION
+    assert out == ""
+    assert f"more cliques than the limit {growth.MAX_CLIQUES}" in err
+
+
+def _heavy_letter_config(tmp_path):
+    """free:2 with weights 1 and 10^9: a clique polynomial of degree 10^9."""
+    config = {
+        "generators": [
+            {"name": "a", "weight": {"num": 1, "den": 1}},
+            {"name": "b", "weight": {"num": 10**9, "den": 1}},
+        ],
+        "commuting_pairs": [],
+    }
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_growth_counts_below_a_letter_past_the_cutoff(capsys, tmp_path):
+    config = _heavy_letter_config(tmp_path)
+    code, out, err = run_cli(capsys, "growth", "--config", config, "--cutoff", "3")
+    assert (code, err) == (0, "")
+    assert out == "lambda_num,lambda_den,a_n\n0,1,1\n1,1,1\n2,1,1\n3,1,1\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["clique-poly"], ["roots"], ["kms-check", "--beta", "3", "--cutoff", "3"]]
+)
+def test_clique_polynomial_degree_guard(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--config", _heavy_letter_config(tmp_path))
+    assert code == cli.EXIT_COMPUTATION
+    assert out == ""
+    assert f"clique polynomial degree {10**9} exceeds the limit {growth.MAX_DEGREE}" in err
+
+
+@pytest.mark.parametrize(
     "preset, cutoff, dim",
     [
         ("cycle:5", "12", 11250001),

@@ -28,7 +28,9 @@ from qlo import (
 from conftest import (
     NAMED_GRAPHS,
     bfs_traces_up_to,
+    cliques_by_subset_scan,
     largest_cutoff,
+    letters_after,
     make_abelian2,
     make_free2,
     make_free3,
@@ -37,6 +39,7 @@ from conftest import (
     random_graph,
     reference_clique_terms,
     reference_inverse_terms,
+    successors_by_pair_scan,
     weighted_graphs,
 )
 
@@ -134,6 +137,19 @@ def test_growth_table_invariants_enforced():
         GrowthTable([(Fraction(0), 1), (Fraction(1), 0)], 2)  # zero count
     with pytest.raises(ValueError):
         GrowthTable([(Fraction(0), 1), (Fraction(3), 1)], 2)  # above cutoff
+
+
+def test_inexact_coefficients_and_counts_are_refused():
+    for terms in ({0: 1, 1: Fraction(1, 2)}, {1: 2.7}):
+        with pytest.raises(ValueError, match="coefficient .* is not an integer"):
+            WeightedPolynomial(terms)
+    with pytest.raises(ValueError, match="count 2.9 is not an integer"):
+        GrowthTable([(0, 1), (1, 2.9)], 2)
+    # whole values of any exact or float type are kept, as ints
+    poly = WeightedPolynomial({0: 1.0, 1: Fraction(-4, 2)})
+    assert poly.terms == {0: 1, 1: -2} and all(type(c) is int for c in poly.terms.values())
+    rows = GrowthTable([(0, 1), (1, 2.0)], 2).rows
+    assert rows == [(0, 1), (1, 2)] and type(rows[1][1]) is int
 
 
 def test_growth_table_rational_levels():
@@ -342,6 +358,82 @@ def test_polynomial_arithmetic_matches_fraction_dicts(a, b, k):
         assert got.constant_term == want.get(Fraction(0), 0)
         exact = sum(c * 0.7 ** float(e) for e, c in want.items())
         assert math.isclose(got.evaluate(0.7), exact, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# -- clique walks and their limits ---------------------------------------------------
+
+
+def _scaled_weight(graph, clique):
+    return sum(graph.weights[s] for s in clique) * graph.scale
+
+
+def _listed_by_walks(graph, top):
+    """How many cliques the walks of one listing yield: the nonempty cliques of
+    scaled weight <= top, then for each distinct set of letters that may follow
+    one of them, those of its cliques inside that set."""
+    cliques = [c for c in cliques_by_subset_scan(graph) if c and _scaled_weight(graph, c) <= top]
+    reaches = {letters_after(graph, c) for c in cliques}
+    return len(cliques) + sum(c <= reach for reach in reaches for c in cliques)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weighted_graphs(min_letters=1, max_letters=6), st.data())
+def test_clique_walks_match_subset_and_pair_scans(graph, data):
+    gens = graph.generators
+    n = len(gens)
+    lightest = min(_scaled_weight(graph, [s]) for s in gens)
+    total = int(_scaled_weight(graph, gens))
+    # from below the lightest letter to past every clique
+    for top in sorted({0, lightest - 1, lightest, data.draw(st.integers(0, total)), total}):
+        cliques, weights, after = qlo.growth._lists(graph, top)
+        letter_sets = [frozenset(s for i, s in enumerate(gens) if b >> i & 1) for b in cliques]
+        light = [c for c in cliques_by_subset_scan(graph) if c and _scaled_weight(graph, c) <= top]
+        assert sorted(letter_sets, key=sorted) == sorted(light, key=sorted)
+        assert weights == [_scaled_weight(graph, c) for c in letter_sets]
+        # depth first: each clique right before its extensions by higher letters
+        assert cliques == sorted(cliques, key=lambda b: [i for i in range(n) if b >> i & 1])
+        assert after == successors_by_pair_scan(graph, letter_sets)
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        walked = list(qlo.growth._walk(graph, mask, top, itertools.count(1)))
+        assert walked == [(b, w) for b, w in zip(cliques, weights) if not b & ~mask]
+
+
+@pytest.mark.parametrize(
+    "make, cutoff",
+    [(make_free2, 2), (make_path3, 1), (make_path3, 3), (make_weighted_abelian2, 2)],
+)
+def test_clique_limit_counts_one_walk_per_dependents_mask(monkeypatch, make, cutoff):
+    listed = _listed_by_walks(make(), cutoff * make().scale)
+    for count in (growth_table, enumerate_up_to):
+        monkeypatch.setattr(qlo.growth, "MAX_CLIQUES", listed)
+        count(make(), cutoff)
+        monkeypatch.setattr(qlo.growth, "MAX_CLIQUES", listed - 1)
+        with pytest.raises(ComputationError, match=f"more cliques than the limit {listed - 1}$"):
+            count(make(), cutoff)
+
+
+def test_clique_limit_on_the_clique_table(monkeypatch):
+    cliques = len(cliques_by_subset_scan(make_path3())) - 1
+    monkeypatch.setattr(qlo.growth, "MAX_CLIQUES", cliques)
+    assert clique_polynomial(make_path3()).terms == reference_clique_terms(make_path3())
+    monkeypatch.setattr(qlo.growth, "MAX_CLIQUES", cliques - 1)
+    with pytest.raises(ComputationError, match=f"more cliques than the limit {cliques - 1}$"):
+        clique_polynomial(make_path3())
+
+
+def test_degree_limit_refuses_before_allocating():
+    cap = qlo.growth.MAX_DEGREE
+    at = build_graph("ab", {"a": 1, "b": cap}, [])
+    assert clique_polynomial(at).terms == {0: 1, 1: -1, cap: -1}
+    past = build_graph("ab", {"a": Fraction(1, 2), "b": Fraction(cap + 1, 2)}, [])
+    with pytest.raises(ComputationError, match=f"degree {cap + 1} exceeds the limit {cap}$"):
+        clique_polynomial(past)
+    # a list of 10**18 coefficients could not be made, so this one never was
+    far = build_graph("ab", {"a": 1, "b": 10**18}, [])
+    with pytest.raises(ComputationError, match=f"degree {10**18} exceeds"):
+        clique_polynomial(far)
+    # a count walks only the cliques under its cutoff, so the heavy letter costs nothing
+    assert growth_table(far, 3).rows == [(k, 1) for k in range(4)]
 
 
 # -- series inversion ------------------------------------------------------------
