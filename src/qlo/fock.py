@@ -8,9 +8,9 @@ is a cached column -> row partial map (the row of p*x for each column x
 whose product stays in the basis), built without multiplying words: the map
 of a Foata block is one pass over the trie, carrying the letters it pushes
 up a block, and p composes the maps of its blocks, as v_p v_q = v_pq.
-Composition is indexing, L L^* is the diagonal of preimage counts and a
-range projection is an image set, so the projection identities hold exactly
-in integers at every finite W.
+Composition is indexing, L L^* is the diagonal of preimage counts and a range
+projection is an image set, so the projection identities hold exactly in
+integers at every finite W (the vacuum's given injective generator maps).
 ``SparseOperator`` (dict-of-entries, never dense) is the public type and,
 through its matmul, the independent oracle for those maps.  Floating point
 enters only through the density exp(-beta*H) and the Gibbs/twisted-trace
@@ -241,8 +241,8 @@ def _block_map(rep, s):
 
 def left_op(rep, p):
     """Truncated left translation by p: basis vector at x goes to p*x."""
-    entries = {(r, c): 1 for c, r in enumerate(_left_map(rep, p))}
-    return SparseOperator._unchecked(rep.dim, entries)
+    ell = _left_map(rep, p)
+    return SparseOperator._unchecked(rep.dim, dict.fromkeys(zip(ell, range(len(ell))), 1))
 
 
 def range_projection(rep, p):
@@ -260,33 +260,31 @@ def nica_check(rep, p, q):
 def vacuum_projection(rep):
     """Rank-one projection onto the identity basis vector.
 
-    Built both as the product of the generator complements and as the
-    alternating clique sum.  Each L L^* is diagonal, holding the number of
-    columns its partial map sends to each row, so both forms are integer
-    vectors that must agree entrywise.  Each clique's map is its own pass
-    over the trie, apart from the generator maps;
+    Checked as the product of the generator complements and as the
+    alternating clique sum, each L L^* being its map's preimage counts.  A
+    generator map that repeats a row raises, so the product is the indicator
+    of the rows outside the generators' images; the clique sum is delta_0
+    when the even cliques' counts equal the odd ones' plus 1 at row 0.  Each
+    clique's map is its own pass over the trie, apart from the generator maps;
     test_range_projection_matches_word_search_oracle and
     test_left_map_matches_multiply_oracle check both against L1.
     """
-    graph = rep.graph
-    product = [1] * rep.dim
+    graph, covered = rep.graph, set()
     for s in graph.generators:
-        for r, k in Counter(_left_map(rep, graph.gen(s))).items():
-            product[r] *= 1 - k
-    alternating = [0] * rep.dim
+        ell = _left_map(rep, graph.gen(s))
+        if len(set(ell)) != len(ell):
+            raise OperatorIdentityError(f"vacuum projection: the map of {s} is not injective")
+        covered.update(ell)
+    plus, minus = Counter(), Counter({0: 1})  # even and odd cliques; delta_0 on the odd side
     for block in _cliques(graph, include_empty=True):
-        sign = (-1) ** block.bit_count()
-        ell = _left_map(rep, graph.trace(_letters(graph, block)))
-        for r, k in Counter(ell).items():
-            alternating[r] += sign * k
-
-    if product != alternating:
-        raise OperatorIdentityError(
-            "vacuum projection: product form and clique sum disagree"
+        (minus if block.bit_count() & 1 else plus).update(
+            _left_map(rep, graph.trace(_letters(graph, block)))
         )
-    if product != [1] + [0] * (rep.dim - 1):
+    if 0 in covered or len(covered) != rep.dim - 1 or not dict.__eq__(plus, minus):
+        agree = all(plus[r] - minus[r] + (r == 0) == (r not in covered) for r in range(rep.dim))
         raise OperatorIdentityError(
-            "vacuum projection is not the rank-one projection at the identity"
+            "vacuum projection is not the rank-one projection at the identity" if agree
+            else "vacuum projection: product form and clique sum disagree"
         )
     return SparseOperator(rep.dim, {(0, 0): 1})
 
@@ -309,9 +307,9 @@ def evolution_unitary(rep, t):
 def _density_values(rep, beta):
     cached = rep._density_cache.get(beta)
     if cached is None:
-        d = rep.graph.scale
-        cached = [math.exp(-beta * (w / d)) for w in rep._rows.weights[: rep.dim]]
-        rep._density_cache[beta] = cached
+        d, weights = rep.graph.scale, rep._rows.weights[: rep.dim]
+        level = {w: math.exp(-beta * (w / d)) for w in dict.fromkeys(weights)}
+        cached = rep._density_cache[beta] = list(map(level.__getitem__, weights))
     return cached
 
 
@@ -322,9 +320,7 @@ def gibbs_numeric(rep, op, beta):
     if op.dim != rep.dim:
         raise ValueError("operator dimension does not match the basis")
     weights = _density_values(rep, beta)
-    denominator = sum(weights)
-    numerator = sum(v * weights[i] for i, v in op.diagonal_entries())
-    return numerator / denominator
+    return sum([v * weights[r] for (r, c), v in op.entries.items() if r == c]) / sum(weights)
 
 
 def dynamics_factor(p, q, z):
@@ -386,17 +382,13 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
 
 
 def _monomial_map(rep, p, q):
-    """L_p L_q^* as a partial map q*y -> p*y, -1 elsewhere; left translations
-    are injective (the monoid is left cancellative), so L_q^* inverts L_q."""
-    out = [-1] * rep.dim
-    for r, t in zip(_left_map(rep, q), _left_map(rep, p)):
-        out[r] = t
-    return out
+    """L_p L_q^* as a partial map {q*y: p*y}; left translations are injective
+    (the monoid is left cancellative), so L_q^* inverts L_q."""
+    return dict(zip(_left_map(rep, q), _left_map(rep, p)))
 
 
 def _fixed_point_mass(outer, inner, weights):
     """Tr(outer o inner o rho) for 0/1 partial maps: the sum of weights[x]
-    over the x with outer[inner[x]] == x."""
-    return sum(
-        w for x, (r, w) in enumerate(zip(inner, weights)) if r >= 0 and outer[r] == x
-    )
+    over the x with outer[inner[x]] == x, in ascending x."""
+    fixed = sorted(x for x, r in inner.items() if outer.get(r) == x)
+    return sum(map(weights.__getitem__, fixed))

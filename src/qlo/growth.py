@@ -272,12 +272,16 @@ def _walk(graph, mask, top, tally):
                 stack.append((members | low, weight + w[k], candidates & ~dep[k]))
 
 
-def _cliques(graph, include_empty=False):
-    """All cliques of the commutation graph, as block masks, kept on the graph."""
+def _clique_weights(graph):
+    """Block mask -> scaled weight of each nonempty clique, in walk order, kept on the graph."""
     if graph._cliques is None:
-        walk = _walk(graph, (1 << len(graph._dep)) - 1, sum(graph._w), count(1))
-        graph._cliques = tuple(b for b, _ in walk)
-    return ((0,) if include_empty else ()) + graph._cliques
+        graph._cliques = dict(_walk(graph, (1 << len(graph._dep)) - 1, sum(graph._w), count(1)))
+    return graph._cliques
+
+
+def _cliques(graph, include_empty=False):
+    """All cliques of the commutation graph, as block masks."""
+    return ((0,) if include_empty else ()) + tuple(_clique_weights(graph))
 
 
 def _lists(graph, top):
@@ -408,13 +412,12 @@ def _count(graph, top):
 
 def clique_polynomial(graph):
     """Alternating clique sum: coefficient (-1)^|F| at exponent w(F)."""
-    cliques = _cliques(graph)
-    weights = [graph._block_weight[b] for b in cliques]
-    degree = max(weights)
+    weights = _clique_weights(graph)
+    degree = max(weights.values())
     if degree > MAX_DEGREE:
         raise ComputationError(f"clique polynomial degree {degree} exceeds the limit {MAX_DEGREE}")
     coeffs = [1] + [0] * degree
-    for block, w in zip(cliques, weights):
+    for block, w in weights.items():
         coeffs[w] += -1 if block.bit_count() & 1 else 1
     return _poly(coeffs, graph.scale)
 

@@ -91,9 +91,9 @@ class IndependenceGraph:
     Immutable, so what derives from it is kept once made: the hash, the
     per-clique tables ``_dependents`` and ``_block_weight`` (a Foata block's
     letters commute, so a block mask is always a clique) and, for
-    ``qlo.growth``, the clique masks (``_cliques``), and the longest growth
-    count (``_counts``) and enumeration (``_basis``) so far, which serve every
-    cutoff up to theirs."""
+    ``qlo.growth``, the scaled weight of each clique by mask (``_cliques``),
+    and the longest growth count (``_counts``) and enumeration (``_basis``) so
+    far, which serve every cutoff up to theirs."""
 
     __slots__ = (
         "generators",

@@ -396,6 +396,30 @@ def test_vacuum_projection_catches_a_missing_clique(monkeypatch):
             monkeypatch.undo()
 
 
+def test_vacuum_projection_refuses_a_generator_map_that_repeats_a_row(monkeypatch):
+    """A generator map that sends two columns to one row is refused by name,
+    before the union of the images could hide it; a map that loses its last
+    column leaves both forms equal but off the identity."""
+    real_left_map = qlo.fock._left_map
+    cases = [(make, s, fault, "not injective")
+             for make in (make_abelian2, make_path3, make_free2)
+             for s in make().generators
+             for fault in (lambda ell: ell[:1] * 2 + ell[2:], lambda ell: ell + ell[-1:])]
+    cases.append((make_free2, "a", lambda ell: ell[:-1], "not the rank-one projection"))
+    for make, s, fault, message in cases:
+        g = make()
+        masks = g.gen(s)._masks
+
+        def faulty_left_map(rep, p):
+            ell = real_left_map(rep, p)
+            return fault(ell) if p._masks == masks else ell
+
+        monkeypatch.setattr(qlo.fock, "_left_map", faulty_left_map)
+        with pytest.raises(OperatorIdentityError, match=message):
+            vacuum_projection(build_rep(g, 3))
+        monkeypatch.undo()
+
+
 # -- density, unitaries, Gibbs numerics ----------------------------------------------
 
 
@@ -564,6 +588,68 @@ def test_kms_numeric_matches_sparse_operator_products():
             if p1 == q2 and q1 == p2:
                 assert report.psi_ab > 0.0 and report.psi_ba > 0.0
         assert nonzero >= 20
+
+
+def _density_by_row(rep, beta):
+    """exp(-beta * w(x)) computed for each basis row, from the trace's weight."""
+    d = rep.graph.scale
+    return [math.exp(-beta * (int(x.weight * d) / d)) for x in rep.basis]
+
+
+def _gibbs_by_generator(rep, op, beta):
+    weights = _density_by_row(rep, beta)
+    return sum(v * weights[i] for i, v in op.diagonal_entries()) / sum(weights)
+
+
+def _fixed_point_mass_by_enumerate(outer, inner, weights):
+    return sum(
+        w for x, (r, w) in enumerate(zip(inner, weights)) if r >= 0 and outer[r] == x
+    )
+
+
+def _monomial_map_by_multiply(rep, p, q):
+    """L_p L_q^* as a partial map q*y -> p*y, from L1's multiply."""
+    out = [-1] * rep.dim
+    for y in rep.basis:
+        r, t = rep.index_of(multiply(q, y)), rep.index_of(multiply(p, y))
+        if r is not None and t is not None:
+            out[r] = t
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    weighted_graphs(min_letters=1, max_letters=5),
+    st.integers(2, 12),
+    st.floats(1.05, 3.0),
+    st.randoms(use_true_random=False),
+)
+def test_gibbs_floats_equal_their_reference_loops(graph, halves, factor, rng):
+    """density, gibbs_numeric and kms_numeric_check's psi values equal loops
+    that take one exp per row and sum in ascending row order, bit for bit:
+    the CLI prints them to 15 digits."""
+    rep = build_rep(graph, largest_cutoff(graph, Fraction(halves, 2), 300))
+    beta = factor * (rep.thermo().beta_c or 0.5)  # beta_c is 0 on one letter
+    for b in (beta, factor, 0.0):
+        want = _density_by_row(rep, b)
+        assert [density(rep, b).entries.get((i, i), 0.0) for i in range(rep.dim)] == want
+    pool = [t for t in rep.basis if t.length <= 2]
+    ops = [SparseOperator.identity(rep.dim), vacuum_projection(rep)]
+    for _ in range(4):
+        p, q = rng.choice(pool), rng.choice(pool)
+        ops += [range_projection(rep, p), left_op(rep, p) @ left_op(rep, q).adjoint()]
+        for b in (factor, beta):
+            assert [gibbs_numeric(rep, op, b) for op in ops] == [
+                _gibbs_by_generator(rep, op, b) for op in ops
+            ]
+        p2, q2 = (q, p) if rng.random() < 0.5 else (rng.choice(pool), rng.choice(pool))
+        report = kms_numeric_check(rep, (p, q), (p2, q2), beta)
+        a = _monomial_map_by_multiply(rep, p, q)
+        b = _monomial_map_by_multiply(rep, p2, q2)
+        weights = _density_by_row(rep, beta)
+        z = sum(weights)
+        assert report.psi_ab == _fixed_point_mass_by_enumerate(a, b, weights) / z
+        assert report.psi_ba == _fixed_point_mass_by_enumerate(b, a, weights) / z
 
 
 def test_kms_numeric_requires_supercritical_beta():

@@ -23,6 +23,7 @@ from qlo import (
     is_lattice_ordered,
     left_quotient,
     min_letters,
+    preset_graph,
     verify_inversion,
 )
 from conftest import (
@@ -298,6 +299,18 @@ def test_clique_polynomial_matches_subset_scan():
     for seed in (1, 2, 3):
         g = random_graph(6, seed=seed, edge_probability=0.5)
         assert clique_polynomial(g).terms == reference_clique_terms(g)
+
+
+def test_clique_polynomial_reads_the_walk_weights():
+    """The walk's weights serve the polynomial; the per-mask weight table of
+    L1 is not filled once per clique (65,535 cliques on abelian:16)."""
+    from math import comb
+
+    g = preset_graph("abelian:16")
+    assert clique_polynomial(g).terms == {
+        Fraction(k): (-1) ** k * comb(16, k) for k in range(17)
+    }
+    assert len(g._block_weight) <= len(g.generators)
 
 
 def test_complete_graph_polynomial_factors():

@@ -13,7 +13,6 @@ from qlo import (
     MismatchedGraphError,
     NotADivisorError,
     build_graph,
-    clique_polynomial,
     divides,
     enumerate_up_to,
     join,
@@ -24,6 +23,7 @@ from qlo import (
     wick,
 )
 from qlo import oracles
+from qlo.growth import _clique_weights
 from qlo.oracles import (
     join_by_search,
     join_mismatch,
@@ -476,7 +476,9 @@ def test_block_kernels_match_letter_by_letter_references(case):
 def test_clique_tables_hold_their_uncached_values(case):
     graph, u, v = case
     p, q = normalize(graph, u), normalize(graph, v)
-    multiply(p, q), divides(p, q), wick(p, q), wick(q, p), clique_polynomial(graph)
+    multiply(p, q), divides(p, q), wick(p, q), wick(q, p)
+    for mask, w in _clique_weights(graph).items():  # clique_polynomial's table
+        assert graph._block_weight[mask] == w
     assert graph._block_weight
     for mask, reach in graph._dependents.items():
         letters = _letters_of(graph, [mask])
