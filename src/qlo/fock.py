@@ -264,7 +264,8 @@ def vacuum_projection(rep):
     alternating clique sum, each L L^* being its map's preimage counts.  A
     generator map that repeats a row raises, so the product is the indicator
     of the rows outside the generators' images; the clique sum is delta_0
-    when the even cliques' counts equal the odd ones' plus 1 at row 0.  Each
+    when the even cliques' counts equal the odd ones' plus 1 at row 0.  Only
+    cliques of weight <= W are listed, as a heavier one's map is empty.  Each
     clique's map is its own pass over the trie, apart from the generator maps;
     test_range_projection_matches_word_search_oracle and
     test_left_map_matches_multiply_oracle check both against L1.
@@ -276,7 +277,7 @@ def vacuum_projection(rep):
             raise OperatorIdentityError(f"vacuum projection: the map of {s} is not injective")
         covered.update(ell)
     plus, minus = Counter(), Counter({0: 1})  # even and odd cliques; delta_0 on the odd side
-    for block in _cliques(graph, include_empty=True):
+    for block in _cliques(graph, rep._top):
         (minus if block.bit_count() & 1 else plus).update(
             _left_map(rep, graph.trace(_letters(graph, block)))
         )
@@ -371,10 +372,9 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
 
     gain_b = max(p2.weight - q2.weight, Fraction(0))
     gain_a = max(p1.weight - q1.weight, Fraction(0))
-    bound = (
-        tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_b)
-        + twist * tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_a)
-    ) / z_trunc
+    tail_b = tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_b)
+    tail_a = tail_b if gain_a == gain_b else tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_a)
+    bound = (tail_b + twist * tail_a) / z_trunc
     return KmsNumericReport(
         residual=residual, bound=bound + tol, psi_ab=psi_ab, psi_ba=psi_ba,
         twist=twist, beta=beta, cutoff=rep.cutoff,

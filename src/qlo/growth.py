@@ -279,9 +279,9 @@ def _clique_weights(graph):
     return graph._cliques
 
 
-def _cliques(graph, include_empty=False):
-    """All cliques of the commutation graph, as block masks."""
-    return ((0,) if include_empty else ()) + tuple(_clique_weights(graph))
+def _cliques(graph, top):
+    """The empty clique, then each clique of scaled weight <= top, as block masks."""
+    return (0, *(b for b, _ in _walk(graph, (1 << len(graph._dep)) - 1, top, count(1))))
 
 
 def _lists(graph, top):

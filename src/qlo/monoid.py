@@ -19,6 +19,8 @@ lattice (1/scale)*Z, with scale the lcm of the weight denominators.  The
 letter forms of a trace (``key``, ``blocks``) and its ``Fraction`` weight
 are derived on first use.  Equality, left divisibility, least common upper
 bounds and Wick reordering are all decided exactly; weights are never floats.
+``_twisted_weight`` decides a side of the twisted-trace identity for
+``qlo.thermo`` the same way, on masks and scaled weights, making no Trace.
 """
 
 from __future__ import annotations
@@ -323,12 +325,12 @@ class _MaskTable(dict):
         return out
 
 
-def _trace(graph, masks):
-    """Trace with the given Foata block masks."""
+def _weigh(graph, masks):
+    """(scaled weight, length) of a sequence of block masks."""
     weight, w, n = graph._block_weight, 0, 0
     for m in masks:
         w, n = w + weight[m], n + m.bit_count()
-    return Trace(graph, tuple(masks), w, n)
+    return w, n
 
 
 # -- Foata normal form machinery ------------------------------------------
@@ -486,10 +488,14 @@ def join(p, q):
     rest of q must commute with all of it, otherwise no upper bound exists.
     """
     _check_same_graph(p, q)
-    rest = _join_rest(p.graph._dependents, p._masks, q._masks)
+    graph = p.graph
+    rest = _join_rest(graph._dependents, p._masks, q._masks)
     if rest is None:
         return INFINITY
-    return multiply(p, _trace(p.graph, rest))
+    if not rest:
+        return p
+    w, n = _weigh(graph, rest)
+    return Trace(graph, _product(graph._dependents, p._masks, rest), p._w + w, p.length + n)
 
 
 def wick(p, q):
@@ -502,6 +508,24 @@ def wick(p, q):
     a = _join_rest(reach, p._masks, q._masks)
     if a is None:
         return None
-    a = _trace(p.graph, a)  # b's weight and length follow from p*a = q*b
+    a = Trace(p.graph, tuple(a), *_weigh(p.graph, a))  # b's weight and length follow from p*a = q*b
     b = _join_rest(reach, q._masks, p._masks)
     return a, Trace(q.graph, tuple(b), p._w + a._w - q._w, p.length + a.length - q.length)
+
+
+def _twisted_weight(front, star1, mid, star2):
+    """Scaled weight of a, where star1*a = mid*b = join(star1, mid), when
+    front*a == star2*b; None when the join is infinite or the products differ.
+    The products weigh the same only if w(front) + w(a) == w(star2) + w(b),
+    with w(b) = w(star1) + w(a) - w(mid); w(a) cancels, so this exact test
+    runs first, and the block masks are joined and compared only if it holds."""
+    if front._w - star2._w != star1._w - mid._w:
+        return None
+    reach = front.graph._dependents
+    a = _join_rest(reach, star1._masks, mid._masks)
+    if a is None:
+        return None
+    b = _join_rest(reach, mid._masks, star1._masks)
+    if _product(reach, front._masks, a) != _product(reach, star2._masks, b):
+        return None
+    return _weigh(front.graph, a)[0]

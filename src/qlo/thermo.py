@@ -8,7 +8,8 @@ by integer bisection, so beta_c = 0 is returned exactly (never as a small
 float) and the smallest-root claim is certified by the isolation itself.
 Equilibrium values on starred monomials are evaluated symbolically in the
 exponent, which makes the twisted-trace identity an exact, beta-independent
-check.
+check.  Its sides are decided in ``monoid`` on block masks and scaled integer
+weights, with an exact weight test as the early exit before any mask work.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from . import rootiso
 from .growth import ComputationError, clique_polynomial, growth_table
-from .monoid import multiply, wick, _check_same_graph
+from .monoid import _check_same_graph, _twisted_weight
 
 __all__ = [
     "ComputationError",
@@ -325,19 +326,6 @@ class KmsIdentityReport:
         return self.rhs.exponent
 
 
-def _twisted_side(front, star1, mid, star2):
-    """exp(beta*w(front)) * value(front star1^* mid star2^*), symbolically."""
-    pieces = wick(star1, mid)
-    if pieces is None:
-        return StateValue.zero()
-    a, b = pieces
-    left = multiply(front, a)
-    right = multiply(star2, b)
-    if left == right:
-        return StateValue.exact(Fraction(left._w - front._w, left.graph.scale))
-    return StateValue.zero()
-
-
 def kms_identity_check(p1, q1, p2, q2):
     """Exact, beta-independent form of the twisted-trace condition.
 
@@ -345,18 +333,21 @@ def kms_identity_check(p1, q1, p2, q2):
         N(p1)^beta phi(v_p1 v_q1^* v_p2 v_q2^*)
             = N(q1)^beta phi(v_q1 v_p1^* v_q2 v_p2^*)
     reduce to exp(-beta*r) with a rational r (or to zero); the identity
-    holds for every beta iff the two exponents agree exactly.
+    holds for every beta iff the two exponents agree exactly.  Each side's
+    r*scale (None for zero) is decided on block masks by
+    ``monoid._twisted_weight``, after an exact weight test as early exit.
     """
     _check_same_graph(p1, q1)
     _check_same_graph(p1, p2)
     _check_same_graph(p1, q2)
-    lhs = _twisted_side(p1, q1, p2, q2)
-    rhs = _twisted_side(q1, p1, q2, p2)
-    if lhs.is_zero() or rhs.is_zero():
-        holds = lhs.is_zero() and rhs.is_zero()
-    else:
-        holds = lhs.exponent == rhs.exponent
-    return KmsIdentityReport(holds=holds, lhs=lhs, rhs=rhs)
+    lhs = _twisted_weight(p1, q1, p2, q2)
+    rhs = _twisted_weight(q1, p1, q2, p2)
+    scale = p1.graph.scale
+    return KmsIdentityReport(
+        holds=lhs == rhs,
+        lhs=_ZERO if lhs is None else StateValue("exact", Fraction(lhs, scale)),
+        rhs=_ZERO if rhs is None else StateValue("exact", Fraction(rhs, scale)),
+    )
 
 
 def fock_state_value(p, q):

@@ -288,7 +288,7 @@ def test_block_maps_match_multiply(graph, halves, extra):
     enumerate_up_to(longer, max(cutoff, largest_cutoff(longer, cutoff + extra, 3000)))
     for g in (graph, longer):
         rep = build_rep(g, cutoff)
-        for block in qlo.growth._cliques(g):
+        for block in qlo.growth._clique_weights(g):
             p = g.trace(qlo.monoid._letters(g, block))
             prefix = [x for x in rep.basis if x.weight <= cutoff - p.weight]
             got = qlo.fock._block_map(rep, block)
@@ -382,18 +382,35 @@ def test_vacuum_projection_all_graphs():
 
 
 def test_vacuum_projection_catches_a_missing_clique(monkeypatch):
+    """Dropping any one of the cliques that vacuum_projection lists raises."""
     real_cliques = qlo.fock._cliques
-    for make in (make_abelian2, make_path3):
-        for dropped in range(4):
-            def cliques_but_one(graph, include_empty=False):
-                out = list(real_cliques(graph, include_empty=include_empty))
+    for make, cutoff in ((make_abelian2, 3), (make_path3, 3), (make_weighted_abelian2, 3)):
+        listed = real_cliques(make(), build_rep(make(), cutoff)._top)
+        assert listed[0] == 0 and len(listed) >= 4
+        for dropped in range(len(listed)):
+            def cliques_but_one(graph, top):
+                out = list(real_cliques(graph, top))
                 del out[dropped]
                 return out
 
             monkeypatch.setattr(qlo.fock, "_cliques", cliques_but_one)
             with pytest.raises(OperatorIdentityError):
-                vacuum_projection(build_rep(make(), 3))
+                vacuum_projection(build_rep(make(), cutoff))
             monkeypatch.undo()
+
+
+def test_vacuum_projection_lists_only_the_cliques_under_the_cutoff():
+    """abelian:16 at W=2 has 65,535 cliques but a basis of 153 rows: the check
+    walks only the 136 cliques of weight <= 2 and caches one map for each."""
+    rep = build_rep(preset_graph("abelian:16"), 2)
+    assert rep.dim == 153
+    start = time.perf_counter()
+    assert vacuum_projection(rep) == SparseOperator(rep.dim, {(0, 0): 1})
+    elapsed = time.perf_counter() - start
+    listed = qlo.fock._cliques(rep.graph, rep._top)
+    assert len(listed) == 1 + 16 + 120
+    assert len(rep._left_cache) <= len(listed) + 1
+    assert elapsed < 0.2, elapsed  # 0.8 s when every clique was listed
 
 
 def test_vacuum_projection_refuses_a_generator_map_that_repeats_a_row(monkeypatch):
@@ -550,6 +567,34 @@ def test_kms_numeric_random_monomials_within_bound():
         assert report.ok
         worst = max(worst, report.residual)
     assert worst < 1e-6
+
+
+def test_kms_numeric_bound_reuses_an_equal_tail(monkeypatch):
+    """When both gains are equal the tail is computed once; the bound is
+    bit-identical to the sum of two tail_mass calls."""
+    g = make_path3()
+    rep = build_rep(g, 7)
+    beta = 1.5 * rep.thermo().beta_c
+    pool = [t for t in rep.basis if t.length <= 2]
+    real_tail, calls = qlo.fock.tail_mass, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["up_to"])
+        return real_tail(*args, **kwargs)
+
+    monkeypatch.setattr(qlo.fock, "tail_mass", counted)
+    seen = set()
+    for p1, q1, p2, q2 in itertools.product(pool[:5], repeat=4):
+        calls.clear()
+        report = kms_numeric_check(rep, (p1, q1), (p2, q2), beta)
+        gain_b = max(p2.weight - q2.weight, Fraction(0))
+        gain_a = max(p1.weight - q1.weight, Fraction(0))
+        tails = [real_tail(rep.thermo(), beta, rep.cutoff, up_to=rep.cutoff - gain) for gain in (gain_b, gain_a)]
+        want = (tails[0] + report.twist * tails[1]) / sum(qlo.fock._density_values(rep, beta)) + 1e-12
+        assert report.bound == want, (p1, q1, p2, q2)
+        assert len(calls) == (1 if gain_a == gain_b else 2)
+        seen.add(gain_a == gain_b)
+    assert seen == {True, False}
 
 
 def test_kms_numeric_bound_decreases_with_cutoff():

@@ -319,6 +319,26 @@ def test_join_matches_brute_force_small_graphs(traces):
         assert wick_round_trip_holds(p, q)
 
 
+@settings(deadline=None, max_examples=40)
+@given(weighted_graphs(min_letters=1, max_letters=5), st.data())
+def test_join_equals_p_times_its_left_quotient(graph, data):
+    """join(p, q) has the masks, scaled weight and length of p*(p\\join(p, q)),
+    and is p itself when q divides p."""
+    words = st.lists(st.sampled_from(graph.generators), max_size=6)
+    for _ in range(12):
+        p, q = (normalize(graph, data.draw(words)) for _ in range(2))
+        bound = join(p, q)
+        if bound is INFINITY:
+            assert wick(p, q) is None
+            continue
+        want = multiply(p, left_quotient(p, bound))
+        assert (bound._masks, bound._w, bound.length) == (want._masks, want._w, want.length)
+        assert (bound.weight, bound.key) == (want.weight, want.key)
+        if divides(q, p):
+            assert bound is p
+        assert join(p, multiply(p, q)) == multiply(p, q)
+
+
 def test_join_by_search_examples(path3):
     a, b, c = (path3.gen(s) for s in "abc")
     candidates = bfs_traces_up_to(path3, 2)

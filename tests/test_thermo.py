@@ -9,7 +9,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qlo.thermo
 from qlo import rootiso
 from qlo import (
     ComputationError,
@@ -26,9 +28,11 @@ from qlo import (
     gibbs_value,
     is_lattice_ordered,
     kms_identity_check,
+    multiply,
     normalize,
     partition_function,
     tail_mass,
+    wick,
 )
 from conftest import (
     NAMED_GRAPHS,
@@ -40,6 +44,7 @@ from conftest import (
     make_weighted_abelian2,
     many_term_graph,
     random_graph,
+    weighted_graphs,
 )
 
 
@@ -433,6 +438,78 @@ def test_kms_identity_weighted_graph():
     pool = [t for t in enumerate_up_to(g, 3) if t.length <= 2]
     for quad in itertools.product(pool, repeat=4):
         assert kms_identity_check(*quad).holds
+
+
+def _reference_side(front, star1, mid, star2):
+    """exp(beta*w(front)) * value(front star1^* mid star2^*) through L1's
+    public wick and multiply: star1^* mid = a b^* with star1*a = mid*b."""
+    pieces = wick(star1, mid)
+    if pieces is None:
+        return StateValue.zero()
+    a, b = pieces
+    if multiply(front, a) == multiply(star2, b):
+        return StateValue.exact(a.weight)
+    return StateValue.zero()
+
+
+def _assert_matches_reference(quad):
+    p1, q1, p2, q2 = quad
+    report = kms_identity_check(*quad)
+    lhs, rhs = _reference_side(p1, q1, p2, q2), _reference_side(q1, p1, q2, p2)
+    assert (report.lhs, report.rhs) == (lhs, rhs), quad
+    assert report.holds == (lhs == rhs), quad
+    for got in (report.lhs, report.rhs):
+        assert got is StateValue.zero() or type(got.exponent) is Fraction
+    return report
+
+
+@settings(deadline=None, max_examples=60)
+@given(weighted_graphs(min_letters=1, max_letters=5), st.data())
+def test_kms_identity_matches_the_wick_multiply_reference(graph, data):
+    """Both sides against a reference built from wick and multiply, on short
+    traces, their products and reversals, and random words."""
+    words = st.lists(st.sampled_from(graph.generators), max_size=4)
+    traces = [normalize(graph, data.draw(words)) for _ in range(6)]
+    traces += [multiply(p, q) for p, q in zip(traces, reversed(traces))]
+    pool = traces + [normalize(graph, [s for block in t.key for s in block][::-1]) for t in traces]
+    rng = data.draw(st.randoms(use_true_random=False))
+    for _ in range(60):
+        _assert_matches_reference(tuple(rng.choice(pool) for _ in range(4)))
+
+
+def test_kms_identity_sides_with_equal_weights_but_different_products():
+    """front*a and star2*b weigh the same but differ (ab against ba in free:2):
+    the weight test passes and only the masks tell the side is zero."""
+    g = make_free2()
+    e, a, b = g.identity(), g.gen("a"), g.gen("b")
+    ab, ba = normalize(g, "ab"), normalize(g, "ba")
+    for quad in ((ab, e, e, ba), (ba, e, e, ab), (ab, a, a, ba), (a, ab, ba, b), (ab, b, a, ba)):
+        p1, q1, p2, q2 = quad
+        assert p1.weight - q2.weight == q1.weight - p2.weight
+        report = _assert_matches_reference(quad)
+        assert report.lhs is StateValue.zero() and report.rhs is StateValue.zero()
+        assert report.holds
+    # and with the masks equal, the same quadruple shape is nonzero
+    report = _assert_matches_reference((ab, a, a, ab))
+    assert report.lhs == report.rhs == StateValue.exact(0)
+
+
+def test_kms_identity_holds_only_when_the_sides_agree(monkeypatch):
+    """The verdict compares the two sides, zero included, in either order."""
+    g = make_weighted_abelian2()
+    a = g.gen("a")
+    cases = [((None, None), True), ((None, 3), False), ((3, None), False),
+             ((2, 2), True), ((2, 3), False), ((0, 0), True), ((0, None), False)]
+    for (left, right), holds in cases:
+        sides = iter((left, right))
+        monkeypatch.setattr(qlo.thermo, "_twisted_weight", lambda *quad: next(sides))
+        report = kms_identity_check(a, a, a, a)
+        assert report.holds is holds, (left, right)
+        for side, got in ((left, report.lhs), (right, report.rhs)):
+            if side is None:
+                assert got is StateValue.zero()
+            else:
+                assert got == StateValue.exact(Fraction(side, g.scale))
 
 
 def test_kms_exponents_are_rational_and_match():
