@@ -60,6 +60,6 @@ from .fock import (
     range_projection,
     vacuum_projection,
 )
-from .presets import preset_graph, preset_names, preset_spec
+from .presets import preset_graph, preset_spec
 
 __version__ = "0.1.0"

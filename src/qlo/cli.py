@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fock, thermo
-from .growth import clique_polynomial, growth_table, invert_series
+from .growth import MAX_BASIS_DIM, clique_polynomial, enumerate_up_to, growth_table, invert_series
 from .monoid import GraphError, build_graph
-from .presets import preset_spec
+from .presets import preset_graph
 from .thermo import ComputationError, ThermoContext
 
 EXIT_OK = 0
@@ -28,6 +28,10 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_COMPUTATION = 4
 EXIT_VERIFICATION = 5
+
+# most samples * (basis dimension + 1,000) one kms-check runs: each sample maps
+# nearly the whole basis twice; the default 20 samples pass at every dimension
+MAX_KMS_WORK = 20 * (MAX_BASIS_DIM + 1_000)
 
 
 class ConfigError(ValueError):
@@ -125,15 +129,6 @@ def parse_config(path):
     return config_from_dict(data, source=path)
 
 
-def preset_config(name):
-    family, n, gens, edges = preset_spec(name)
-    return MonoidConfig(
-        generators=[(s, Fraction(1)) for s in gens],
-        commuting_pairs=[tuple(e) for e in edges],
-        label=f"{family}:{n}",
-    )
-
-
 def _fmt(x):
     return str(x) if isinstance(x, int) else f"{x:.15g}"
 
@@ -142,12 +137,22 @@ def _graph_from_args(args):
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        config = parse_config(args.config)
-    elif args.preset:
-        config = preset_config(args.preset)
-    else:
-        raise ConfigError("a graph is required: use --config or --preset")
-    return config.to_graph()
+        return parse_config(args.config).to_graph()
+    if args.preset:
+        return preset_graph(args.preset)
+    raise ConfigError("a graph is required: use --config or --preset")
+
+
+def _terms_obj(poly):
+    return {"terms": [{"exponent": _frac_obj(e), "coefficient": c} for e, c in poly.terms.items()]}
+
+
+def _context_above_beta_c(graph, beta):
+    """The graph's ThermoContext; ComputationError (exit 4) when beta <= beta_c."""
+    ctx = ThermoContext(graph)
+    if beta <= ctx.beta_c:
+        raise ComputationError(f"--beta must exceed beta_c = {_fmt(ctx.beta_c)}")
+    return ctx
 
 
 def _emit(args, csv_lines, json_obj):
@@ -179,13 +184,7 @@ def _cmd_growth(args):
 def _cmd_clique_poly(args):
     graph = _graph_from_args(args)
     poly = clique_polynomial(graph)
-    json_obj = {
-        "terms": [
-            {"exponent": _frac_obj(e), "coefficient": poly.terms[e]}
-            for e in sorted(poly.terms)
-        ]
-    }
-    _emit(args, [str(poly)], json_obj)
+    _emit(args, [str(poly)], _terms_obj(poly))
     return EXIT_OK
 
 
@@ -223,18 +222,9 @@ def _cmd_invert(args):
     series = invert_series(
         clique_polynomial(graph), _nonnegative(args.cutoff, "--cutoff")
     )
-    exps = sorted(series.terms)
     csv_lines = ["exponent_num,exponent_den,coefficient"]
-    csv_lines += [
-        f"{e.numerator},{e.denominator},{series.terms[e]}" for e in exps
-    ]
-    json_obj = {
-        "terms": [
-            {"exponent": _frac_obj(e), "coefficient": series.terms[e]}
-            for e in exps
-        ]
-    }
-    _emit(args, csv_lines, json_obj)
+    csv_lines += [f"{e.numerator},{e.denominator},{c}" for e, c in series.terms.items()]
+    _emit(args, csv_lines, _terms_obj(series))
     return EXIT_OK
 
 
@@ -242,11 +232,7 @@ def _cmd_gibbs(args):
     graph = _graph_from_args(args)
     beta = _finite(args.beta, "--beta")
     cutoff = _nonnegative(args.cutoff, "--cutoff")
-    ctx = ThermoContext(graph)
-    if beta <= ctx.beta_c:
-        raise ComputationError(
-            f"--beta must exceed beta_c = {_fmt(ctx.beta_c)}"
-        )
+    ctx = _context_above_beta_c(graph, beta)
     z_closed = thermo.partition_function(ctx, beta)
     z_trunc = thermo.partition_function(ctx, beta, "truncated", cutoff=cutoff)
     psi_vacuum = 1.0 / z_trunc  # the truncated state is normalized by its own trace
@@ -275,13 +261,17 @@ def _cmd_kms_check(args):
     samples = args.samples
     if samples < 1:
         raise ConfigError("--samples must be at least 1")
-    ctx = ThermoContext(graph)
-    if beta <= ctx.beta_c:
-        raise ComputationError(
-            f"--beta must exceed beta_c = {_fmt(ctx.beta_c)}"
-        )
+    ctx = _context_above_beta_c(graph, beta)
     rep = fock.build_rep(graph, cutoff, thermo=ctx)
-    pool = rep.short_traces(2)
+    work = samples * (rep.dim + 1_000)
+    if work > MAX_KMS_WORK:
+        raise ComputationError(
+            f"--samples {samples} at basis dimension {rep.dim} costs {work} "
+            f"(samples * (dimension + 1000)), past the limit {MAX_KMS_WORK}"
+        )
+    # a trace of at most 2 letters weighs at most 2 * w_max: filter that prefix of the rep's basis
+    short = min(cutoff, 2 * max(graph.weights.values()))
+    pool = [t for t in enumerate_up_to(graph, short) if t.length <= 2]
     rng = random.Random(20_24)
     rows = []
     for _ in range(samples):

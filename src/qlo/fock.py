@@ -51,6 +51,9 @@ __all__ = [
     "kms_numeric_check",
 ]
 
+KMS_SLACK = 1e-12  # added to every kms_numeric_check bound for the rounding of its float sums
+
+
 class OperatorIdentityError(RuntimeError):
     """An identity that must hold exactly failed; indicates a bug."""
 
@@ -150,8 +153,8 @@ class SparseOperator:
 class TruncatedRep:
     """Ordered weight-<=W basis with an index lookup: the first `dim` rows of
     the graph's enumeration trie (top, weights, parents, lasts, child), read in
-    place and maybe past W.  Traces are built only on request; rep.thermo()
-    returns ``thermo`` when one over the same graph is passed in."""
+    place and maybe past W.  Traces are built only when `basis` is read;
+    rep.thermo() returns ``thermo`` when one over the same graph is passed in."""
 
     def __init__(self, graph, cutoff, thermo=None):
         self.graph = graph
@@ -168,10 +171,6 @@ class TruncatedRep:
     def basis(self):
         """The basis traces in row order, built on first access."""
         return _traces(self.graph, self._rows, self.dim)
-
-    def short_traces(self, length):
-        """Basis traces of at most `length` letters, in row order."""
-        return _traces(self.graph, self._rows, self.dim, length)
 
     def index_of(self, trace):
         """Row of the trace, or None when it lies outside the basis."""
@@ -345,17 +344,15 @@ class KmsNumericReport:
         return self.residual <= self.bound
 
 
-def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
+def kms_numeric_check(rep, pair1, pair2, beta):
     """Twisted-trace residual of two truncated monomials, with a tail bound.
 
     For A = L_p1 L_q1^* and B = L_p2 L_q2^*, computes
     |psi(AB) - twist * psi(BA)| with psi the truncated Gibbs state; the
-    reported bound is (tail(W - dB) + twist * tail(W - dA)) / Z_W where
-    dA, dB are the weight gains of A and B, and is rigorous for beta above
-    the critical value.
+    reported bound is (tail(W - dB) + twist * tail(W - dA)) / Z_W + 1e-12
+    (KMS_SLACK, room for the rounding of the float sums) where dA, dB are the
+    weight gains of A and B, and is rigorous for beta above the critical value.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     (p1, q1), (p2, q2) = pair1, pair2
     for x in (p1, q1, p2, q2):
         _check_same_graph(rep, x)
@@ -376,7 +373,7 @@ def kms_numeric_check(rep, pair1, pair2, beta, tol=1e-12):
     tail_a = tail_b if gain_a == gain_b else tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_a)
     bound = (tail_b + twist * tail_a) / z_trunc
     return KmsNumericReport(
-        residual=residual, bound=bound + tol, psi_ab=psi_ab, psi_ba=psi_ba,
+        residual=residual, bound=bound + KMS_SLACK, psi_ab=psi_ab, psi_ba=psi_ba,
         twist=twist, beta=beta, cutoff=rep.cutoff,
     )
 

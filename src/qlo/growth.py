@@ -37,13 +37,15 @@ __all__ = [
 MAX_LEVELS = 10_000  # most scaled weight levels a count or an enumeration runs over
 MAX_BASIS_DIM = 1_000_000  # most traces an enumeration holds
 MAX_CLIQUES = 1_000_000  # most cliques the walks of one clique listing make
+MAX_COUNT_STEPS = 50_000_000  # most levels * (cliques + successor entries) one count sums, about 2 s
 MAX_DEGREE = 20_000  # highest scaled degree of a clique polynomial
 
 
 class ComputationError(RuntimeError):
     """A numeric request outside its domain (e.g. beta at or below beta_c,
     or a cutoff past MAX_LEVELS, an enumeration past MAX_BASIS_DIM, a clique
-    listing past MAX_CLIQUES or a clique polynomial past MAX_DEGREE)."""
+    listing past MAX_CLIQUES, a count past MAX_COUNT_STEPS or a clique
+    polynomial past MAX_DEGREE)."""
 
 
 class WeightedPolynomial:
@@ -328,19 +330,16 @@ def enumerate_up_to(graph, cutoff):
     return _traces(graph, *_basis(graph, cutoff))
 
 
-def _traces(graph, basis, end, max_length=None):
+def _traces(graph, basis, end):
     """Traces of the first `end` rows of the graph's enumeration, in row order,
-    except those of over max_length letters.  One pass derives each row's length,
-    and each kept row's masks, from its parent's (an earlier row, never longer)."""
+    each built from its parent's (an earlier row) masks and length.  A trace
+    of k letters weighs at most k times the heaviest letter, so the traces of
+    at most k letters all lie among the rows up to that weight."""
     weights, parents, lasts = basis.weights, basis.parents, basis.lasts
-    lengths, masks = [0] * end, [()] * end
     out = [graph.identity()]
     for row in range(1, end):
-        parent, block = parents[row], lasts[row]
-        lengths[row] = length = lengths[parent] + block.bit_count()
-        if max_length is None or length <= max_length:
-            masks[row] = mask = masks[parent] + (block,)
-            out.append(Trace(graph, mask, weights[row], length))
+        up, block = out[parents[row]], lasts[row]
+        out.append(Trace(graph, up._masks + (block,), weights[row], up.length + block.bit_count()))
     return out
 
 
@@ -395,8 +394,14 @@ def _count(graph, top):
 
     ends[w][j] counts the block sequences of scaled weight w ending in clique
     j, and slot `start` the empty one; it sums ends[w - w(j)] over the slots j
-    may follow.  j may follow itself, so each itemgetter returns a tuple."""
+    may follow.  j may follow itself, so each itemgetter returns a tuple.
+    Each level sums one slot per clique and per successor entry."""
     _, weights, succ = _lists(graph, top)
+    steps = top * (len(weights) + sum(map(len, succ)))
+    if steps > MAX_COUNT_STEPS:
+        raise ComputationError(
+            f"counting {top} scaled weight levels takes {steps} steps, past the limit {MAX_COUNT_STEPS}"
+        )
     start = len(weights)
     pred = [[start] for _ in weights]
     for i, after in enumerate(succ):

@@ -163,9 +163,6 @@ class IndependenceGraph:
 
     # -- basic queries -------------------------------------------------
 
-    def weight(self, s):
-        return self.weights[s]
-
     def commutes(self, s, r):
         return not self._dep[self._index[s]] >> self._index[r] & 1
 
@@ -267,13 +264,6 @@ class Trace:
 
     def sort_key(self):
         return (self.weight, self.serialize())
-
-    # sugar; the module-level functions are the primary API
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def divides(self, other):
-        return divides(self, other)
 
     def __eq__(self, other):
         if self is other:

@@ -105,7 +105,7 @@ def verification_suite(graph, cutoff):
         return counts == growth_table(graph, small).counts()
 
     def join_brute_force():
-        pairs = list(itertools.product(rep().short_traces(3), repeat=2))
+        pairs = list(itertools.product([t for t in rep().basis if t.length <= 3], repeat=2))
         if len(pairs) > 400:
             pairs = rng.sample(pairs, 400)
         return join_mismatch(pairs, rep().basis) is None
@@ -127,7 +127,7 @@ def verification_suite(graph, cutoff):
         return math.exp(-ctx().beta_c) >= bound * (1 - 1e-9)
 
     def nica_exhaustive():
-        pairs = itertools.product(rep().short_traces(2), repeat=2)
+        pairs = itertools.product([t for t in rep().basis if t.length <= 2], repeat=2)
         return all(fock.nica_check(rep(), p, q) for p, q in pairs)
 
     def vacuum_identity():
@@ -138,13 +138,13 @@ def verification_suite(graph, cutoff):
         return True
 
     def kms_symbolic():
-        quads = list(itertools.product(rep().short_traces(2), repeat=4))
+        quads = list(itertools.product([t for t in rep().basis if t.length <= 2], repeat=4))
         if len(quads) > 20000:
             quads = rng.sample(quads, 20000)
         return all(thermo.kms_identity_check(*quad).holds for quad in quads)
 
     def gibbs_off_diagonal_zero():
-        pool = rep().short_traces(2)
+        pool = [t for t in rep().basis if t.length <= 2]
         beta = max(1.0, 1.5 * ctx().beta_c)
         for _ in range(50):
             p, q = rng.choice(pool), rng.choice(pool)

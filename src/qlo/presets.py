@@ -10,13 +10,9 @@ import string
 
 from .monoid import GraphError, build_graph
 
-__all__ = ["preset_names", "preset_graph", "preset_spec"]
+__all__ = ["preset_graph", "preset_spec"]
 
 _FAMILIES = ("free", "abelian", "path", "cycle")
-
-
-def preset_names():
-    return _FAMILIES
 
 
 def _generator_names(n):

@@ -1,24 +1,38 @@
 """Config parsing, presets, subcommand output contracts and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qlo import INFINITY, cli, fock, growth, join, normalize, oracles, preset_graph
+from qlo import (
+    INFINITY, ThermoContext, build_graph, cli, fock, growth, join, normalize, oracles, preset_graph,
+)
 from qlo.growth import MAX_LEVELS
 from qlo.cli import (
     ConfigError,
+    MonoidConfig,
     config_from_dict,
     emit_config,
     parse_config,
-    preset_config,
+)
+
+from conftest import (
+    cliques_by_subset_scan,
+    largest_cutoff,
+    successors_by_pair_scan,
+    weighted_graphs,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -34,7 +48,7 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_config_round_trip(tmp_path):
-    config = preset_config("path:3")
+    config = parse_config(DATA / "path3.json")
     path = tmp_path / "monoid.json"
     path.write_text(emit_config(config))
     again = parse_config(path)
@@ -89,11 +103,7 @@ def test_presets_match_golden_files():
     ]:
         with open(DATA / filename) as fh:
             golden = config_from_dict(json.load(fh))
-        built = preset_config(name)
-        assert built.generators == golden.generators
-        assert sorted(map(sorted, built.commuting_pairs)) == sorted(
-            map(sorted, golden.commuting_pairs)
-        )
+        assert preset_graph(name) == golden.to_graph()
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -310,11 +320,9 @@ def test_exit_validation_when_graph_missing(capsys):
     assert run_cli(capsys, "growth", "--cutoff", "2")[0] == 3
 
 
-def test_exit_validation_both_sources(capsys, tmp_path):
-    cfg = tmp_path / "m.json"
-    cfg.write_text(emit_config(preset_config("free:2")))
+def test_exit_validation_both_sources(capsys):
     code, _, _ = run_cli(
-        capsys, "growth", "--config", str(cfg), "--preset", "free:2",
+        capsys, "growth", "--config", str(DATA / "free2.json"), "--preset", "free:2",
         "--cutoff", "2",
     )
     assert code == 3
@@ -374,6 +382,86 @@ def test_clique_count_guard_fails_fast(capsys, argv):
     assert code == cli.EXIT_COMPUTATION
     assert out == ""
     assert f"more cliques than the limit {growth.MAX_CLIQUES}" in err
+
+
+def test_count_step_guard_fails_fast(capsys):
+    # 9,999 levels of 4,095 cliques and 527,345 successor entries: past 120 s unguarded
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "growth", "--preset", "abelian:12", "--cutoff", "9999")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert (f"counting 9999 scaled weight levels takes {9999 * 531440} steps, "
+            f"past the limit {growth.MAX_COUNT_STEPS}") in err
+
+
+@pytest.mark.parametrize("preset, cutoff", [("path:3", 5), ("cycle:5", 4), ("abelian:3", 6)])
+def test_count_step_guard_admits_its_limit(capsys, monkeypatch, preset, cutoff):
+    # levels * (cliques + successor entries), counted by the pair-scan oracle
+    cliques = [c for c in cliques_by_subset_scan(preset_graph(preset)) if c]
+    succ = successors_by_pair_scan(preset_graph(preset), cliques)
+    steps = cutoff * (len(cliques) + sum(map(len, succ)))
+    argv = ["growth", "--preset", preset, "--cutoff", str(cutoff)]
+    monkeypatch.setattr(growth, "MAX_COUNT_STEPS", steps)
+    assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+    monkeypatch.setattr(growth, "MAX_COUNT_STEPS", steps - 1)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_COMPUTATION
+    assert f"takes {steps} steps, past the limit {steps - 1}" in err
+
+
+def test_kms_sample_guard_fails_fast(capsys):
+    argv = ["kms-check", "--preset", "free:2", "--cutoff", "4", "--beta", "3"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--samples", "100000")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert (f"--samples 100000 at basis dimension 31 costs {100000 * 1031} "
+            f"(samples * (dimension + 1000)), past the limit {cli.MAX_KMS_WORK}") in err
+    # the default 20 samples pass at every basis the dimension guard admits
+    assert 20 * (fock.MAX_BASIS_DIM + 1000) <= cli.MAX_KMS_WORK
+
+
+def test_kms_sample_guard_admits_its_limit(capsys, monkeypatch):
+    argv = ["kms-check", "--preset", "path:3", "--cutoff", "2", "--beta", "3", "--samples", "3"]
+    work = 3 * (1 + 3 + 7 + 1000)  # path:3 has 1, 3 and 7 traces of weight 0, 1 and 2
+    monkeypatch.setattr(cli, "MAX_KMS_WORK", work)
+    assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+    monkeypatch.setattr(cli, "MAX_KMS_WORK", work - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert f"costs {work} (samples * (dimension + 1000)), past the limit {work - 1}" in err
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    weighted_graphs(min_letters=1, max_letters=4, denominators=(1, 2, 3)),
+    st.integers(0, 10),
+    st.integers(1, 8),
+)
+@example(build_graph("ab", {"a": 1, "b": 3}, []), 5, 6)  # W = 5/2 < 2 * w_max = 6
+@example(build_graph("abc", {"a": Fraction(1, 2), "b": 2, "c": 1}, [("a", "b")]), 7, 8)
+def test_kms_check_draws_from_the_short_basis_traces(graph, halves, samples):
+    """kms-check's monomials are the seeded draw from the basis traces of at
+    most two letters, whether W lies above or below twice the heaviest weight."""
+    cutoff = largest_cutoff(graph, Fraction(halves, 2), 400)
+    pool = [t for t in fock.build_rep(graph, cutoff).basis if t.length <= 2]
+    rng = random.Random(2024)
+    want = [[rng.choice(pool).serialize() for _ in range(4)] for _ in range(samples)]
+    beta = 2 * ThermoContext(graph).beta_c + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "monoid.json"
+        path.write_text(emit_config(MonoidConfig(
+            generators=list(graph.weights.items()),
+            commuting_pairs=[tuple(sorted(e)) for e in graph.edges],
+        )))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([
+                "kms-check", "--config", str(path), "--cutoff", str(cutoff), "--beta", repr(beta),
+                "--samples", str(samples), "--format", "json",
+            ])
+    assert code == cli.EXIT_OK
+    assert [row["monomials"] for row in json.loads(out.getvalue())["results"]] == want
 
 
 def _heavy_letter_config(tmp_path):

@@ -319,8 +319,8 @@ def test_basis_is_the_enumeration_built_once(monkeypatch):
     basis = rep.basis
     assert basis == enumerate_up_to(graph, 3) and rep.basis is basis
     assert [t.length for t in basis] == [t.length for t in enumerate_up_to(make_cycle5(), 3)]
-    assert rep.short_traces(2) == [t for t in basis if t.length <= 2]
-    assert built == [(rep.dim,), (rep.dim, 2)]
+    assert [t for t in enumerate_up_to(graph, 2) if t.length <= 2] == [t for t in basis if t.length <= 2]
+    assert built == [(rep.dim,)]
 
 
 def test_a_representation_leaves_no_cyclic_garbage():
@@ -334,7 +334,7 @@ def test_a_representation_leaves_no_cyclic_garbage():
         rep = build_rep(graph, 3)
         vacuum_projection(rep)
         left_op(rep, normalize(graph, "ab"))
-        assert rep.basis and rep.short_traces(2)
+        assert rep.basis and enumerate_up_to(graph, 2)
         del graph, rep
         assert gc.collect() == 0
     finally:
@@ -704,8 +704,6 @@ def test_kms_numeric_requires_supercritical_beta():
     for beta in (0.5, math.nan, math.inf):
         with pytest.raises(ComputationError):
             kms_numeric_check(rep, *pairs, beta)
-    with pytest.raises(ValueError):
-        kms_numeric_check(rep, *pairs, 2.0, tol=math.nan)
 
 
 def test_rep_rejects_foreign_traces():

@@ -224,19 +224,17 @@ def test_enumerate_up_to_serves_smaller_cutoffs_from_the_largest(make):
 @given(
     weighted_graphs(min_letters=1, max_letters=12),
     st.integers(0, 8),
-    st.sampled_from([0, 1, 2, 3, None]),
 )
-def test_traces_match_bfs_oracle(graph, halves, max_length):
+def test_traces_match_bfs_oracle(graph, halves):
     """_traces, the one place rows become traces, against BFS over right
     multiplication: the same masks, weights and lengths in the same order, on
     a fresh graph and on one that first enumerated a larger cutoff."""
     cutoff = largest_cutoff(graph, Fraction(halves, 2), 300)
-    oracle = [(t._masks, t._w, t.length) for t in bfs_traces_up_to(graph, cutoff)
-              if max_length is None or t.length <= max_length]
+    oracle = [(t._masks, t._w, t.length) for t in bfs_traces_up_to(graph, cutoff)]
     longer = build_graph(graph.generators, graph.weights, graph.edges)
     enumerate_up_to(longer, largest_cutoff(longer, cutoff + 2, 3000))
     for g in (graph, longer):
-        got = qlo.growth._traces(g, *qlo.growth._basis(g, cutoff), max_length)
+        got = qlo.growth._traces(g, *qlo.growth._basis(g, cutoff))
         assert [(t._masks, t._w, t.length) for t in got] == oracle
         assert all(t.graph is g for t in got)
 
