@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-# MAX_BASIS_DIM is unused: _basis guards it; qlo.fock.MAX_BASIS_DIM still names it
-from .growth import MAX_BASIS_DIM, _basis, _cliques, _top_level, _traces  # noqa: F401
+from .growth import _basis, _cliques, _top_level, _traces
 # multiply is unused; bench/tests checks that tracing restores qlo.fock.multiply
 from .monoid import INFINITY, join, multiply  # noqa: F401
 from .monoid import _check_same_graph, _letters

@@ -18,11 +18,16 @@ from collections import Counter
 from fractions import Fraction
 
 from . import fock, thermo
-from .growth import growth_table, is_lattice_ordered, verify_inversion
+from .growth import ComputationError, growth_table, is_lattice_ordered, verify_inversion
 from .monoid import INFINITY, divides, join, multiply, wick
 
 __all__ = ["join_by_search", "join_mismatch", "translation_identity_holds",
            "wick_round_trip_holds", "verification_suite"]
+
+# most 25 * dimension + (longest basis trace in blocks)^2 one suite runs on, about
+# 5 s: the join search multiplies up to 400 traces by every basis trace, and a
+# join walks up to longest^2 blocks (a basis row costs about 25 block steps)
+MAX_VERIFY_WORK = 100_000
 
 
 def _least_bound(q, products):
@@ -88,13 +93,23 @@ def wick_round_trip_holds(p, q):
 def verification_suite(graph, cutoff):
     """(name, check) pairs of deterministic cross-checks of every layer,
     sized by the cutoff; the basis, representation and thermodynamic
-    context are built on first use and shared."""
+    context are built on first use and shared.  A representation whose
+    checks would cost more than MAX_VERIFY_WORK raises ComputationError
+    as soon as it is built, before any check reads it."""
     small = min(cutoff, Fraction(4))
     rng = random.Random(97)
 
     @functools.cache
     def rep():
-        return fock.build_rep(graph, small)
+        built = fock.build_rep(graph, small)
+        longest = math.floor(small / graph.min_weight)  # the lightest letter's power
+        work = 25 * built.dim + longest**2
+        if work > MAX_VERIFY_WORK:
+            raise ComputationError(
+                f"verify at basis dimension {built.dim} with traces of up to {longest} blocks "
+                f"costs {work} (25 * dimension + blocks^2), past the limit {MAX_VERIFY_WORK}"
+            )
+        return built
 
     @functools.cache
     def ctx():
@@ -138,9 +153,11 @@ def verification_suite(graph, cutoff):
         return True
 
     def kms_symbolic():
-        quads = list(itertools.product([t for t in rep().basis if t.length <= 2], repeat=4))
-        if len(quads) > 20000:
-            quads = rng.sample(quads, 20000)
+        short = [t for t in rep().basis if t.length <= 2]
+        n = len(short)
+        # rows of the product short^4 by index: the sample of the full list, never built
+        rows = range(n**4) if n**4 <= 20000 else rng.sample(range(n**4), 20000)
+        quads = ((short[i // n**3], short[i // n**2 % n], short[i // n % n], short[i % n]) for i in rows)
         return all(thermo.kms_identity_check(*quad).holds for quad in quads)
 
     def gibbs_off_diagonal_zero():

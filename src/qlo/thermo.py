@@ -237,25 +237,27 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     R(x)/Q(x) where R = 1 - Q*P_V has integer coefficients, all in degrees
     M+1 .. M+deg Q for M = floor(V*scale).  So nothing cancels against Z:
     x is bracketed by rationals, R and Q are bounded on the bracket exactly,
-    and the result is rounded up, never below the exact tail.  The table is
-    computed at `cutoff`; V defaults to it.
+    and the result is rounded up, never below the exact tail.  R and Q are
+    kept as nonzero terms, R's convolved from Q's, and bounded by `rootiso`'s
+    sparse Horner.  The table is computed at `cutoff`; V defaults to it.
     """
     if not beta > ctx.beta_c:
         raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
     bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
     # Q and the growth counts as integer lists on one lattice (1/d)*Z
     d, q, a = ctx.clique_poly._common(ctx.growth(max(Fraction(cutoff), bound))._series)
-    deg = len(q) - 1
     top = max(math.floor(bound * d), -1)
     a = a[: top + 1] + [0] * (top + 1 - len(a))
-    # R(x) = x**(top+1) * S(x); S holds the coefficients of R from degree top+1
-    s = [
-        int(m == 0) - sum(q[k] * a[m - k] for k in range(m - top, min(deg, m) + 1))
-        for m in range(top + 1, top + deg + 1)
-    ]
+    q = [(k, c) for k, c in enumerate(q) if c]
+    # R(x) = x**(top+1) * S(x); S's terms (m, r) hold R's coefficients from degree top+1
+    s = []
+    for m in range(q[-1][0]):
+        r = int(top + 1 + m == 0) - sum([c * a[top + 1 + m - k] for k, c in q if m < k <= m + top + 1])
+        if r:
+            s.append((m, r))
     lo, hi = _exp_bracket(-beta / d)
-    s_num, s_den = _poly_upper(s, lo, hi)
-    q_num, q_den = _poly_upper([-c for c in q], lo, hi)  # -(a lower bound of Q)
+    s_num, s_den = _upper(s, lo, hi)
+    q_num, q_den = _upper([(k, -c) for k, c in q], lo, hi)  # -(a lower bound of Q)
     if q_num >= 0:
         raise ComputationError(
             "clique polynomial not certified positive here; beta is too "
@@ -285,22 +287,17 @@ def _exp_bracket(y):
     return (n * (2**50 - slack), d * 2**50), (n * (2**50 + slack), d * 2**50)
 
 
-def _poly_upper(coeffs, lo, hi):
-    """Upper bound (num, den) of an integer polynomial on [lo, hi], lo >= 0.
-
-    Terms with positive coefficients are largest at hi and negative ones at
-    lo; both ends are integer ratios, so the bound is exact over their
-    common denominator.
-    """
+def _upper(terms, lo, hi):
+    """Upper bound (num, den) on [lo, hi], lo >= 0, of the integer polynomial
+    with nonzero terms (e, c): positive terms are largest at hi and negative
+    ones at lo, each part exact over its own power of that end's denominator."""
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
-    deg = len(coeffs) - 1
-    num = 0
-    for j, c in enumerate(coeffs):
-        if c > 0:
-            num += c * hi_n**j * hi_d ** (deg - j) * lo_d**deg
-        elif c < 0:
-            num += c * lo_n**j * lo_d ** (deg - j) * hi_d**deg
-    return num, lo_d**deg * hi_d**deg
+    up = [t for t in terms if t[1] > 0]
+    down = [t for t in terms if t[1] < 0]
+    up_den = hi_d ** up[-1][0] if up else 1
+    down_den = lo_d ** down[-1][0] if down else 1
+    num = rootiso._value(up, hi_n, hi_d) * down_den + rootiso._value(down, lo_n, lo_d) * up_den
+    return num, up_den * down_den
 
 
 def gibbs_value(p, q):

@@ -11,7 +11,9 @@ bisection on Fraction endpoints for root refinement
 (``fraction_halvings``), Sturm sequences of the squarefree part for root
 counts and multiplicities (``fraction_sturm_count``,
 ``fraction_multiplicity``), the closed-form weight counts of path:3 for its
-growth-series tail (``path3_relative_tail``), Fraction-keyed clique sums
+growth-series tail (``path3_relative_tail``), the dense convolution and
+per-coefficient powers for the Gibbs tail bound (``reference_tail_mass``),
+Fraction-keyed clique sums
 and series recurrences for L2 (``reference_clique_terms``,
 ``reference_inverse_terms``), and letter-by-letter Foata block kernels with
 their product, quotient and join built on them (``reference_insert``,
@@ -30,7 +32,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from qlo import Trace, build_graph, growth_table, multiply
+from qlo import ComputationError, Trace, build_graph, growth_table, multiply
+from qlo.thermo import _exp_bracket
 
 
 # -- named graphs -------------------------------------------------------------
@@ -389,6 +392,49 @@ def path3_relative_tail(beta, cutoff):
     z_truncated = sum((2 ** (n + 1) - 1) * t**n for n in range(int(cutoff) + 1))
     return z_closed / z_truncated - 1.0
 
+
+
+def _dense_upper(coeffs, lo, hi):
+    """Upper bound (num, den) of a dense integer polynomial on [lo, hi], lo >= 0:
+    each term at the end where it is largest, over one common denominator."""
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    deg = len(coeffs) - 1
+    num = 0
+    for j, c in enumerate(coeffs):
+        if c > 0:
+            num += c * hi_n**j * hi_d ** (deg - j) * lo_d**deg
+        elif c < 0:
+            num += c * lo_n**j * lo_d ** (deg - j) * hi_d**deg
+    return num, lo_d**deg * hi_d**deg
+
+
+def reference_tail_mass(ctx, beta, cutoff, up_to=None):
+    """``thermo.tail_mass`` on dense coefficient lists: R = 1 - Q*P_V by the
+    full convolution, and each bound term by its own powers of the ends of
+    the bracket of x = exp(-beta/scale).  Same rational bound, same rounding."""
+    if not beta > ctx.beta_c:
+        raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
+    bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
+    d, q, a = ctx.clique_poly._common(ctx.growth(max(Fraction(cutoff), bound))._series)
+    deg = len(q) - 1
+    top = max(math.floor(bound * d), -1)
+    a = a[: top + 1] + [0] * (top + 1 - len(a))
+    s = [
+        int(m == 0) - sum(q[k] * a[m - k] for k in range(m - top, min(deg, m) + 1))
+        for m in range(top + 1, top + deg + 1)
+    ]
+    lo, hi = _exp_bracket(-beta / d)
+    s_num, s_den = _dense_upper(s, lo, hi)
+    q_num, q_den = _dense_upper([-c for c in q], lo, hi)
+    if q_num >= 0:
+        raise ComputationError("clique polynomial not certified positive here")
+    num = hi[0] ** (top + 1) * s_num * q_den
+    den = hi[1] ** (top + 1) * s_den * -q_num
+    value = num / den
+    value_num, value_den = value.as_integer_ratio()
+    if value_num * den < num * value_den:
+        value = math.nextafter(value, math.inf)
+    return value
 
 
 # -- letter-by-letter Foata kernels ---------------------------------------------

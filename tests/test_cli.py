@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,6 +229,41 @@ SCALE582_STDOUT = {
         "0.00786915296765801,1,0\n"
         "0.61002383966488,1,1\n"
     ),
+    # gibbs and kms-check bound their Gibbs tails on Q's 8 nonzero terms
+    ("gibbs --cutoff 4 --beta 6", "csv"): (
+        "quantity,value\n"
+        "beta,6\n"
+        "cutoff,4\n"
+        "dimension,3207337841\n"
+        "Z_truncated,68.4322370911484\n"
+        "Z_closed,68.875126716255\n"
+        "psi_vacuum,0.0146129958994041\n"
+        "psi_vacuum_times_Z_closed,1.00647194427557\n"
+        "normalization_gap,0.00647194427557052\n"
+        "tail_bound,0.442889625112494\n"
+    ),
+    ("gibbs --cutoff 4 --beta 6", "json"): (
+        "{\n"
+        '  "beta": 6.0,\n'
+        '  "cutoff": 4.0,\n'
+        '  "dimension": 3207337841,\n'
+        '  "Z_truncated": 68.43223709114841,\n'
+        '  "Z_closed": 68.87512671625495,\n'
+        '  "psi_vacuum": 0.014612995899404088,\n'
+        '  "psi_vacuum_times_Z_closed": 1.0064719442755705,\n'
+        '  "normalization_gap": 0.006471944275570518,\n'
+        '  "tail_bound": 0.4428896251124941\n'
+        "}\n"
+    ),
+    ("kms-check --cutoff 3/2 --beta 6 --samples 6", "csv"): (
+        "sample,p1,q1,p2,q2,residual,bound,ok\n"
+        "0,b|d,b|b,e|b,a.e,0,0.302511465085381,1\n"
+        "1,c,d|a,e,d|b,0,0.252294071899765,1\n"
+        "2,d,b|d,a|d,d|a,0,2.63245753316367,1\n"
+        "3,b|e,c,a.e,d|b,0,0.139208532764134,1\n"
+        "4,a|c,b|e,a|a,c,0,2.58128359420567,1\n"
+        "5,b.c,a.b,d|b,c,0,0.28938214464255,1\n"
+    ),
 }
 
 
@@ -237,7 +273,7 @@ def test_scale582_cycle_pinned_output(capsys, command, fmt):
     # polynomial with 8 terms, which dense isolation took 13 s to handle
     start = time.perf_counter()
     code, out, err = run_cli(
-        capsys, command, "--config", str(DATA / "cycle5_scale582.json"), "--format", fmt
+        capsys, *command.split(), "--config", str(DATA / "cycle5_scale582.json"), "--format", fmt
     )
     assert (code, err) == (0, "")
     assert out == SCALE582_STDOUT[command, fmt]
@@ -295,6 +331,54 @@ def test_verify_fails_on_a_wrong_join(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--preset", "path:3", "--cutoff", "4")
     assert code == cli.EXIT_VERIFICATION
     assert "FAIL join-equals-brute-force" in out.splitlines()
+
+
+def test_verify_work_guard_fails_fast(capsys):
+    # 119,806 rows with traces of up to 582 blocks: unguarded, not done after 100 s
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--config", str(DATA / "cycle5_scale582.json"), "--cutoff", "2"
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert (f"verify at basis dimension 119806 with traces of up to 582 blocks costs "
+            f"{25 * 119806 + 582**2} (25 * dimension + blocks^2), "
+            f"past the limit {oracles.MAX_VERIFY_WORK}") in err
+
+
+def test_verify_work_guard_admits_its_limit(capsys, monkeypatch):
+    argv = ["verify", "--preset", "path:3", "--cutoff", "2"]
+    work = 25 * (1 + 3 + 7) + 2**2  # 11 traces of weight <= 2, the longest a|a
+    monkeypatch.setattr(oracles, "MAX_VERIFY_WORK", work)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == cli.EXIT_OK and "all 12 verification checks passed" in out
+    monkeypatch.setattr(oracles, "MAX_VERIFY_WORK", work - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert f"costs {work} (25 * dimension + blocks^2), past the limit {work - 1}" in err
+
+
+def test_verify_runs_just_under_its_work_limit(capsys):
+    # 25 * 442 + 291^2 = 95,731: the costliest verify of tools/cli_digest.py
+    assert 25 * 442 + 291**2 <= oracles.MAX_VERIFY_WORK
+    code, out, _ = run_cli(
+        capsys, "verify", "--config", str(DATA / "cycle5_scale582.json"), "--cutoff", "1"
+    )
+    assert code == cli.EXIT_OK and "all 12 verification checks passed" in out
+
+
+def test_verify_samples_kms_quadruples_without_listing_them():
+    # free:5 has 31 traces of at most 2 letters up to weight 2: 923,521
+    # quadruples, about 70 MB as the list the 20,000 samples were drawn from
+    checks = dict(oracles.verification_suite(preset_graph("free:5"), 2))
+    assert checks["enumeration-matches-transfer-dp"]()  # builds the basis first
+    tracemalloc.start()
+    try:
+        assert checks["kms-identity-symbolic"]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -364,7 +448,7 @@ def test_basis_size_guard_fails_fast(capsys, argv, dim):
     assert time.perf_counter() - start < 5
     assert code == cli.EXIT_COMPUTATION
     assert out == ""
-    assert f"basis dimension {dim} exceeds the limit {fock.MAX_BASIS_DIM}" in err
+    assert f"basis dimension {dim} exceeds the limit {growth.MAX_BASIS_DIM}" in err
 
 
 @pytest.mark.parametrize(
@@ -418,7 +502,7 @@ def test_kms_sample_guard_fails_fast(capsys):
     assert (f"--samples 100000 at basis dimension 31 costs {100000 * 1031} "
             f"(samples * (dimension + 1000)), past the limit {cli.MAX_KMS_WORK}") in err
     # the default 20 samples pass at every basis the dimension guard admits
-    assert 20 * (fock.MAX_BASIS_DIM + 1000) <= cli.MAX_KMS_WORK
+    assert 20 * (growth.MAX_BASIS_DIM + 1000) <= cli.MAX_KMS_WORK
 
 
 def test_kms_sample_guard_admits_its_limit(capsys, monkeypatch):

@@ -139,7 +139,7 @@ def test_build_rep_guard_past_the_int_to_str_limit():
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no int-to-str limit")
     before = sys.get_int_max_str_digits()
-    limit_message = f"exceeds the limit {qlo.fock.MAX_BASIS_DIM}$"
+    limit_message = f"exceeds the limit {qlo.growth.MAX_BASIS_DIM}$"
     for cutoff, limit in ((4600, 4300), (700, 640)):
         sys.set_int_max_str_digits(limit)
         try:

@@ -44,6 +44,7 @@ from conftest import (
     make_weighted_abelian2,
     many_term_graph,
     random_graph,
+    reference_tail_mass,
     weighted_graphs,
 )
 
@@ -305,6 +306,40 @@ def test_tail_mass_bounds_the_exact_tail_far_out():
             exact = 2 * (2 * t) ** (cutoff + 1) / (1 - 2 * t) - t ** (cutoff + 1) / (1 - t)
             got = Decimal(tail_mass(ctx, beta, cutoff))
             assert exact <= got <= exact * (1 + Decimal("1e-9")), (beta, cutoff, got, exact)
+
+
+def _tail_or_refusal(tail, ctx, beta, cutoff, up_to):
+    try:
+        return tail(ctx, beta, cutoff, up_to)
+    except ComputationError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(weighted_graphs(min_letters=1, max_letters=5), st.data())
+def test_tail_mass_matches_the_dense_reference_bit_for_bit(graph, data):
+    # the sparse terms give the same rational bound, so the same float
+    ctx = ThermoContext(graph)
+    if ctx.beta_c == 0.0:
+        beta = data.draw(st.floats(0.01, 3.0), label="beta")
+    else:
+        factor = data.draw(st.floats(1.0, 3.0, exclude_min=True), label="factor")
+        beta = ctx.beta_c * factor
+    cutoff = Fraction(data.draw(st.integers(0, 8), label="twice cutoff"), 2)
+    up_to = data.draw(st.sampled_from(
+        [None, cutoff, Fraction(-1, 2), Fraction(-1, 7), cutoff - Fraction(1, 7),
+         cutoff - min(graph.weights.values()), cutoff - max(graph.weights.values())]
+    ), label="up_to")
+    got = _tail_or_refusal(tail_mass, ctx, beta, cutoff, up_to)
+    assert got == _tail_or_refusal(reference_tail_mass, ctx, beta, cutoff, up_to)
+
+
+def test_tail_mass_matches_the_dense_reference_on_many_terms():
+    ctx = ThermoContext(many_term_graph(1))  # 27 terms on degree 47
+    for beta in (1.01 * ctx.beta_c, 1.5 * ctx.beta_c, 3 * ctx.beta_c):
+        for cutoff, up_to in ((0, None), (2, None), (3, Fraction(5, 2)), (3, Fraction(13, 7)), (2, -1)):
+            got = tail_mass(ctx, beta, cutoff, up_to)
+            assert got == reference_tail_mass(ctx, beta, cutoff, up_to), (beta, cutoff, up_to)
 
 
 def test_partition_consistency_with_enumeration():

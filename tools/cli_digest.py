@@ -12,8 +12,9 @@ the root), with each of the FORMS below, in CSV and in JSON.  Each call prints
 one line: a digest of its stdout, its stderr and its exit code, then the exit
 code and the argv.  The root path is written as ``<root>`` in the stderr and
 the argv, so two checkouts that behave alike print the same lines.  The last
-line gives the number of calls and a digest of all the lines before it.  Only
-the standard library is used.
+line gives the number of calls and a digest of all the lines before it.  The
+ten slowest calls, with their wall times, go to stderr.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import importlib
 import io
 import sys
+import time
 from pathlib import Path
 
 PRESETS = ["free:2", "abelian:2", "path:3", "path:4", "cycle:4", "cycle:5"]
@@ -91,7 +93,14 @@ def main(argv=None):
     parser.add_argument("--root", default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/qlo runs (default: this one)")
     args = parser.parse_args(argv)
-    lines = digest_lines(args.root, matrix(Path(args.root).resolve()))
+    lines, times = [], []
+    for call in matrix(Path(args.root).resolve()):
+        start = time.perf_counter()
+        lines += digest_lines(args.root, [call])
+        times.append((time.perf_counter() - start, lines[-1].split(" ", 2)[2]))
+    print("slowest calls:", file=sys.stderr)
+    for seconds, call in sorted(times, reverse=True)[:10]:
+        print(f"{seconds:8.2f} s  {call}", file=sys.stderr)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     print("\n".join(lines))
     print(f"total {len(lines)} calls {total}")
