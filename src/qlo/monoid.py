@@ -14,7 +14,10 @@ block commute pairwise, so every block mask is a clique, and the graph keeps
 two tables keyed by such masks, filled on first lookup: ``_dependents`` (the
 letters that depend on some letter of the block) and ``_block_weight``.  A
 whole block then drops onto a stack at once, each letter landing just above
-the highest block whose dependents mask holds it.  Weights are ints on the
+the highest block whose dependents mask holds it.  Two cases skip the block
+walk: a product whose right factor starts inside the dependents of the left
+factor's top block is the concatenation of their blocks, and taking a whole
+first block off the front leaves the blocks after it.  Weights are ints on the
 lattice (1/scale)*Z, with scale the lcm of the weight denominators.  The
 letter forms of a trace (``key``, ``blocks``) and its ``Fraction`` weight
 are derived on first use.  Equality, left divisibility, least common upper
@@ -347,8 +350,13 @@ def _product(reach, pm, qm):
     """Block masks of p*q: q's blocks drop onto p's blocks one at a time.
 
     Once a block of q lands inside the top block, every later block of q
-    depends on the block before it and stacks on top unchanged.
+    depends on the block before it and stacks on top unchanged.  When q's
+    first block lies inside the dependents of p's top block it lands above
+    it, so p*q is the concatenation of the two block sequences and nothing
+    drops at all.
     """
+    if not pm or not qm or not qm[0] & ~reach[pm[-1]]:
+        return (*pm, *qm)
     blocks = list(pm)
     for j, b in enumerate(qm):
         _drop(reach, blocks, b)
@@ -363,9 +371,13 @@ def _remove_front(reach, blocks, head):
     `head` lies in the first block.  Its letters commute with each other, so
     no dependency chain holds two of them and every other letter falls by at
     most one block: it falls exactly when nothing that stays in the block
-    below depends on it.
+    below depends on it.  When `head` is the whole first block nothing
+    stays, so every later block falls by exactly one: the rest is
+    ``blocks[1:]``, a tuple when `blocks` is one, never copied block by block.
     """
     stay = blocks[0] & ~head
+    if not stay:
+        return blocks[1:]
     out = [stay]
     for b in blocks[1:]:
         fall = b & ~reach[stay]
@@ -455,7 +467,8 @@ def min_letters(p):
 
 def divides(p, x):
     """True iff x = p*p' for some p' (left divisibility)."""
-    _check_same_graph(p, x)
+    if p.graph is not x.graph:
+        _check_same_graph(p, x)
     if p._w > x._w or p.length > x.length:
         return False
     return _quotient(p.graph._dependents, p._masks, x._masks) is not None
@@ -463,7 +476,8 @@ def divides(p, x):
 
 def left_quotient(p, x):
     """The unique p' with p*p' = x; raises NotADivisorError otherwise."""
-    _check_same_graph(p, x)
+    if p.graph is not x.graph:
+        _check_same_graph(p, x)
     rest = _quotient(p.graph._dependents, p._masks, x._masks)
     if rest is None:
         raise NotADivisorError(f"{p.serialize()} does not divide {x.serialize()}")
@@ -477,7 +491,8 @@ def join(p, q):
     are consumed from its front; a letter of p that is not minimal in the
     rest of q must commute with all of it, otherwise no upper bound exists.
     """
-    _check_same_graph(p, q)
+    if p.graph is not q.graph:
+        _check_same_graph(p, q)
     graph = p.graph
     rest = _join_rest(graph._dependents, p._masks, q._masks)
     if rest is None:
@@ -493,7 +508,8 @@ def wick(p, q):
 
     Returns None when join(p, q) = INFINITY (the product collapses to zero).
     """
-    _check_same_graph(p, q)
+    if p.graph is not q.graph:
+        _check_same_graph(p, q)
     reach = p.graph._dependents
     a = _join_rest(reach, p._masks, q._masks)
     if a is None:

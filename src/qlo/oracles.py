@@ -24,10 +24,11 @@ from .monoid import INFINITY, divides, join, multiply, wick
 __all__ = ["join_by_search", "join_mismatch", "translation_identity_holds",
            "wick_round_trip_holds", "verification_suite"]
 
-# most 25 * dimension + (longest basis trace in blocks)^2 one suite runs on, about
-# 5 s: the join search multiplies up to 400 traces by every basis trace, and a
-# join walks up to longest^2 blocks (a basis row costs about 25 block steps)
-MAX_VERIFY_WORK = 100_000
+# most 25 * dimension + (longest basis trace in blocks)^2 // 50 one suite runs on,
+# about 3 s on a 2-core x86_64: the join search multiplies up to 400 traces by
+# every basis trace (about 25 units a row), and a join of two powers of the
+# lightest letter slices off whole blocks, up to longest^2 copied block masks
+MAX_VERIFY_WORK = 120_000
 
 
 def _least_bound(q, products):
@@ -103,11 +104,11 @@ def verification_suite(graph, cutoff):
     def rep():
         built = fock.build_rep(graph, small)
         longest = math.floor(small / graph.min_weight)  # the lightest letter's power
-        work = 25 * built.dim + longest**2
+        work = 25 * built.dim + longest**2 // 50
         if work > MAX_VERIFY_WORK:
             raise ComputationError(
                 f"verify at basis dimension {built.dim} with traces of up to {longest} blocks "
-                f"costs {work} (25 * dimension + blocks^2), past the limit {MAX_VERIFY_WORK}"
+                f"costs {work} (25 * dimension + blocks^2 // 50), past the limit {MAX_VERIFY_WORK}"
             )
         return built
 

@@ -15,7 +15,7 @@ weights, with an exact weight test as the early exit before any mask work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
 
 from . import rootiso
@@ -84,6 +84,7 @@ class ThermoContext:
         self._roots = rootiso.roots_in_unit_interval(self._coeffs)
         self.tol = tol
         self._refined = {}  # (isolated root, tol) -> refined (lo, hi)
+        self._tails = {}  # (cutoff, up_to) -> tail_mass's (d, top, -Q terms, S terms)
         self.beta_c = beta_critical(self, tol)
 
     def growth(self, cutoff):
@@ -240,24 +241,21 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     and the result is rounded up, never below the exact tail.  R and Q are
     kept as nonzero terms, R's convolved from Q's, and bounded by `rootiso`'s
     sparse Horner.  The table is computed at `cutoff`; V defaults to it.
+    None of d, M and the nonzero terms of Q and R depends on beta, so the
+    context keeps them per (cutoff, V), and a later call at any beta only
+    bounds them there.
     """
     if not beta > ctx.beta_c:
         raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
-    bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
-    # Q and the growth counts as integer lists on one lattice (1/d)*Z
-    d, q, a = ctx.clique_poly._common(ctx.growth(max(Fraction(cutoff), bound))._series)
-    top = max(math.floor(bound * d), -1)
-    a = a[: top + 1] + [0] * (top + 1 - len(a))
-    q = [(k, c) for k, c in enumerate(q) if c]
-    # R(x) = x**(top+1) * S(x); S's terms (m, r) hold R's coefficients from degree top+1
-    s = []
-    for m in range(q[-1][0]):
-        r = int(top + 1 + m == 0) - sum([c * a[top + 1 + m - k] for k, c in q if m < k <= m + top + 1])
-        if r:
-            s.append((m, r))
+    cutoff = Fraction(cutoff)
+    bound = cutoff if up_to is None else Fraction(up_to)
+    key = cutoff, bound
+    if key not in ctx._tails:
+        ctx._tails[key] = _tail_terms(ctx, cutoff, bound)
+    d, top, neg_q, s = ctx._tails[key]
     lo, hi = _exp_bracket(-beta / d)
     s_num, s_den = _upper(s, lo, hi)
-    q_num, q_den = _upper([(k, -c) for k, c in q], lo, hi)  # -(a lower bound of Q)
+    q_num, q_den = _upper(neg_q, lo, hi)  # -(a lower bound of Q)
     if q_num >= 0:
         raise ComputationError(
             "clique polynomial not certified positive here; beta is too "
@@ -270,6 +268,22 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     if value_num * den < num * value_den:
         value = math.nextafter(value, math.inf)
     return value
+
+
+def _tail_terms(ctx, cutoff, bound):
+    """(d, M, -Q's nonzero terms, S's nonzero terms) of `tail_mass` at V = bound."""
+    # Q and the growth counts as integer lists on one lattice (1/d)*Z
+    d, q, a = ctx.clique_poly._common(ctx.growth(max(cutoff, bound))._series)
+    top = max(math.floor(bound * d), -1)
+    a = a[: top + 1] + [0] * (top + 1 - len(a))
+    q = [(k, c) for k, c in enumerate(q) if c]
+    # R(x) = x**(top+1) * S(x); S's terms (m, r) hold R's coefficients from degree top+1
+    s = []
+    for m in range(q[-1][0]):
+        r = int(top + 1 + m == 0) - sum([c * a[top + 1 + m - k] for k, c in q if m < k <= m + top + 1])
+        if r:
+            s.append((m, r))
+    return d, top, [(k, -c) for k, c in q], s
 
 
 def _exp_bracket(y):
@@ -308,11 +322,41 @@ def gibbs_value(p, q):
     return StateValue.zero()
 
 
-@dataclass(frozen=True)
 class KmsIdentityReport:
-    holds: bool
-    lhs: StateValue
-    rhs: StateValue
+    """Verdict and both sides of one twisted-trace identity; frozen.
+
+    Built from the verdict, each side's scaled weight r*scale (None for a
+    zero side) and the scale.  `lhs` and `rhs` are the sides' StateValues,
+    built on first read; equality, hash and repr are those of the triple
+    (holds, lhs, rhs), and no attribute can be assigned or deleted.
+    """
+
+    __slots__ = ("_sides", "_values")
+
+    def __init__(self, holds, lhs_weight, rhs_weight, scale):
+        object.__setattr__(self, "_sides", (holds, lhs_weight, rhs_weight, scale))
+
+    @property
+    def holds(self):
+        return self._sides[0]
+
+    def _fields(self):
+        """(holds, lhs, rhs); the sides' StateValues are built on the first call."""
+        try:
+            return self._values
+        except AttributeError:
+            holds, lhs, rhs, scale = self._sides
+            sides = (_ZERO if w is None else StateValue("exact", Fraction(w, scale)) for w in (lhs, rhs))
+            object.__setattr__(self, "_values", (holds, *sides))
+            return self._values
+
+    @property
+    def lhs(self):
+        return self._fields()[1]
+
+    @property
+    def rhs(self):
+        return self._fields()[2]
 
     @property
     def lhs_exponent(self):
@@ -321,6 +365,27 @@ class KmsIdentityReport:
     @property
     def rhs_exponent(self):
         return self.rhs.exponent
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        holds, lhs, rhs = self._fields()
+        return f"KmsIdentityReport(holds={holds!r}, lhs={lhs!r}, rhs={rhs!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return KmsIdentityReport, self._sides
 
 
 def kms_identity_check(p1, q1, p2, q2):
@@ -333,18 +398,17 @@ def kms_identity_check(p1, q1, p2, q2):
     holds for every beta iff the two exponents agree exactly.  Each side's
     r*scale (None for zero) is decided on block masks by
     ``monoid._twisted_weight``, after an exact weight test as early exit.
+    The report keeps the two scaled weights; the exponents r are built as
+    Fractions only when its `lhs` or `rhs` is read.
     """
-    _check_same_graph(p1, q1)
-    _check_same_graph(p1, p2)
-    _check_same_graph(p1, q2)
+    graph = p1.graph
+    if q1.graph is not graph or p2.graph is not graph or q2.graph is not graph:
+        _check_same_graph(p1, q1)
+        _check_same_graph(p1, p2)
+        _check_same_graph(p1, q2)
     lhs = _twisted_weight(p1, q1, p2, q2)
     rhs = _twisted_weight(q1, p1, q2, p2)
-    scale = p1.graph.scale
-    return KmsIdentityReport(
-        holds=lhs == rhs,
-        lhs=_ZERO if lhs is None else StateValue("exact", Fraction(lhs, scale)),
-        rhs=_ZERO if rhs is None else StateValue("exact", Fraction(rhs, scale)),
-    )
+    return KmsIdentityReport(lhs == rhs, lhs, rhs, graph._scale)
 
 
 def fock_state_value(p, q):

@@ -342,29 +342,32 @@ def test_verify_work_guard_fails_fast(capsys):
     assert time.perf_counter() - start < 5
     assert (code, out) == (cli.EXIT_COMPUTATION, "")
     assert (f"verify at basis dimension 119806 with traces of up to 582 blocks costs "
-            f"{25 * 119806 + 582**2} (25 * dimension + blocks^2), "
+            f"{25 * 119806 + 582**2 // 50} (25 * dimension + blocks^2 // 50), "
             f"past the limit {oracles.MAX_VERIFY_WORK}") in err
 
 
 def test_verify_work_guard_admits_its_limit(capsys, monkeypatch):
     argv = ["verify", "--preset", "path:3", "--cutoff", "2"]
-    work = 25 * (1 + 3 + 7) + 2**2  # 11 traces of weight <= 2, the longest a|a
+    work = 25 * (1 + 3 + 7) + 2**2 // 50  # 11 traces of weight <= 2, the longest a|a
     monkeypatch.setattr(oracles, "MAX_VERIFY_WORK", work)
     code, out, _ = run_cli(capsys, *argv)
     assert code == cli.EXIT_OK and "all 12 verification checks passed" in out
     monkeypatch.setattr(oracles, "MAX_VERIFY_WORK", work - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (cli.EXIT_COMPUTATION, "")
-    assert f"costs {work} (25 * dimension + blocks^2), past the limit {work - 1}" in err
+    assert f"costs {work} (25 * dimension + blocks^2 // 50), past the limit {work - 1}" in err
 
 
 def test_verify_runs_just_under_its_work_limit(capsys):
-    # 25 * 442 + 291^2 = 95,731: the costliest verify of tools/cli_digest.py
-    assert 25 * 442 + 291**2 <= oracles.MAX_VERIFY_WORK
-    code, out, _ = run_cli(
-        capsys, "verify", "--config", str(DATA / "cycle5_scale582.json"), "--cutoff", "1"
-    )
-    assert code == cli.EXIT_OK and "all 12 verification checks passed" in out
+    for argv, work in [
+        # 4,681 traces of weight <= 4, the longest a|a|a|a: 117,025, just under the limit
+        (["--preset", "free:8", "--cutoff", "4"], 25 * 4681 + 4**2 // 50),
+        # 442 traces, the longest 291 blocks: the costliest verify of tools/cli_digest.py
+        (["--config", str(DATA / "cycle5_scale582.json"), "--cutoff", "1"], 25 * 442 + 291**2 // 50),
+    ]:
+        assert work <= oracles.MAX_VERIFY_WORK
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == cli.EXIT_OK and "all 12 verification checks passed" in out
 
 
 def test_verify_samples_kms_quadruples_without_listing_them():

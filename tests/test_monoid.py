@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,9 @@ from qlo import (
     normalize,
     wick,
 )
-from qlo import oracles
+from qlo import monoid, oracles
 from qlo.growth import _clique_weights
+from qlo.monoid import _remove_front
 from qlo.oracles import (
     join_by_search,
     join_mismatch,
@@ -43,6 +45,7 @@ from conftest import (
     reference_join_rest,
     reference_product,
     reference_quotient,
+    reference_remove_front,
     weighted_graphs,
 )
 
@@ -468,6 +471,23 @@ def test_block_kernels_match_letter_by_letter_references(case):
         assert t._masks == tuple(blocks)
     pq = multiply(p, q)
     assert pq._masks == reference_product(dep, p._masks, q._masks)
+    reach = graph._dependents
+    for t in (p, q, pq):
+        if t._masks:
+            first = t._masks[0]
+            low = first & -first
+            for head in {first, low, first ^ low} - {0}:  # the whole block and parts of it
+                want = reference_remove_front(dep, t._masks, head)
+                assert tuple(_remove_front(reach, t._masks, head)) == tuple(want)
+    if p._masks:
+        # q's letters that depend on p's top block: their trace starts inside
+        # its dependents, so p times it is the concatenation, with nothing dropped
+        top = reach[p._masks[-1]]
+        stacked = normalize(graph, [s for s in v if top >> graph._index[s] & 1])
+        want = (*p._masks, *stacked._masks)
+        assert reference_product(dep, p._masks, stacked._masks) == want
+        with mock.patch.object(monoid, "_drop", side_effect=AssertionError("a block dropped")):
+            assert multiply(p, stacked)._masks == want
     made = [pq]
     for x, y in ((p, pq), (p, q), (q, p)):
         rest = reference_quotient(dep, x._masks, y._masks)

@@ -1,8 +1,10 @@
 """Critical temperatures, partition functions and symbolic equilibrium values."""
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 import time
 from decimal import Decimal, localcontext
@@ -342,6 +344,20 @@ def test_tail_mass_matches_the_dense_reference_on_many_terms():
             assert got == reference_tail_mass(ctx, beta, cutoff, up_to), (beta, cutoff, up_to)
 
 
+def test_tail_mass_keeps_its_beta_free_terms_per_cutoff_and_level():
+    """Calls on one context, at several betas and levels, return the floats a
+    fresh context's first call returns; the context keeps one entry per
+    (cutoff, up_to), the level V = cutoff counted once, and none per beta."""
+    graph = many_term_graph(1)
+    ctx = ThermoContext(graph)
+    levels = [(2, None), (3, Fraction(5, 2)), (3, Fraction(13, 7)), (2, -1), (3, None), (3, 3)]
+    for beta in (1.01 * ctx.beta_c, 1.5 * ctx.beta_c, 3 * ctx.beta_c):
+        for cutoff, up_to in levels:
+            got = tail_mass(ctx, beta, cutoff, up_to)
+            assert got.hex() == tail_mass(ThermoContext(graph), beta, cutoff, up_to).hex()
+    assert sorted(ctx._tails) == [(2, -1), (2, 2), (3, Fraction(13, 7)), (3, Fraction(5, 2)), (3, 3)]
+
+
 def test_partition_consistency_with_enumeration():
     g = make_path3()
     ctx = ThermoContext(g)
@@ -418,6 +434,30 @@ def test_state_value_zero_is_one_instance_equal_to_a_fresh_zero():
     assert gibbs_value(a, b) == fock_state_value(a, a) == fresh
 
 
+def test_kms_report_built_on_read_is_frozen_and_compares_by_value():
+    """The report keeps scaled weights and builds its sides on read. Like a
+    frozen dataclass of (holds, lhs, rhs), it refuses assignment and deletion
+    and compares, hashes and pickles by those values, whatever the scale."""
+    g = make_free2()
+    a, b = g.gen("a"), g.gen("b")
+    report = kms_identity_check(a, b, a, b)
+    assert report.lhs is StateValue.zero() and report.rhs is StateValue.zero()
+    for name in ("holds", "lhs", "rhs", "lhs_exponent", "_sides", "_values"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(report, name)
+    # exp(-beta) on both sides, on graphs of scale 1 and 2: equal reports
+    half = build_graph("ab", {"a": 1, "b": Fraction(1, 2)})
+    c = half.gen("a")
+    whole, halved = kms_identity_check(a, g.identity(), a, multiply(a, a)), kms_identity_check(
+        c, half.identity(), c, multiply(c, c))
+    assert whole == halved and hash(whole) == hash(halved)
+    assert halved.lhs == halved.rhs == StateValue.exact(1)
+    for copied in (copy.copy(halved), pickle.loads(pickle.dumps(halved))):
+        assert copied == halved and repr(copied) == repr(halved) and copied is not halved
+
+
 def test_fock_state_value():
     g = make_path3()
     e = g.identity()
@@ -487,15 +527,27 @@ def _reference_side(front, star1, mid, star2):
     return StateValue.zero()
 
 
+# the report as a frozen dataclass of its three fields, each built eagerly
+EagerReport = dataclasses.make_dataclass(
+    "KmsIdentityReport", [("holds", bool), ("lhs", StateValue), ("rhs", StateValue)], frozen=True
+)
+
+
 def _assert_matches_reference(quad):
+    """The report's sides against `_reference_side`, and the report against the
+    eager one: the same fields, exponents, hash and repr."""
     p1, q1, p2, q2 = quad
-    report = kms_identity_check(*quad)
+    report, unread = kms_identity_check(*quad), kms_identity_check(*quad)
     lhs, rhs = _reference_side(p1, q1, p2, q2), _reference_side(q1, p1, q2, p2)
+    eager = EagerReport(lhs == rhs, lhs, rhs)
+    assert hash(unread) == hash(eager) and unread == report  # the sides built by hash and ==
     assert (report.lhs, report.rhs) == (lhs, rhs), quad
     assert report.holds == (lhs == rhs), quad
+    assert (report.lhs_exponent, report.rhs_exponent) == (lhs.exponent, rhs.exponent)
+    assert repr(report) == repr(eager)
     for got in (report.lhs, report.rhs):
         assert got is StateValue.zero() or type(got.exponent) is Fraction
-    return report
+    return report, eager
 
 
 @settings(deadline=None, max_examples=60)
@@ -508,8 +560,14 @@ def test_kms_identity_matches_the_wick_multiply_reference(graph, data):
     traces += [multiply(p, q) for p, q in zip(traces, reversed(traces))]
     pool = traces + [normalize(graph, [s for block in t.key for s in block][::-1]) for t in traces]
     rng = data.draw(st.randoms(use_true_random=False))
-    for _ in range(60):
-        _assert_matches_reference(tuple(rng.choice(pool) for _ in range(4)))
+    pairs = [_assert_matches_reference(tuple(rng.choice(pool) for _ in range(4))) for _ in range(60)]
+    for (report, eager), (other, other_eager) in zip(pairs, pairs[1:]):
+        assert (report == other) == (eager == other_eager)
+        assert (report != other) == (eager != other_eager)
+    report, eager = pairs[0]
+    assert report != (eager.holds, eager.lhs, eager.rhs) and report != eager
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.holds = not report.holds
 
 
 def test_kms_identity_sides_with_equal_weights_but_different_products():
@@ -521,11 +579,11 @@ def test_kms_identity_sides_with_equal_weights_but_different_products():
     for quad in ((ab, e, e, ba), (ba, e, e, ab), (ab, a, a, ba), (a, ab, ba, b), (ab, b, a, ba)):
         p1, q1, p2, q2 = quad
         assert p1.weight - q2.weight == q1.weight - p2.weight
-        report = _assert_matches_reference(quad)
+        report, _ = _assert_matches_reference(quad)
         assert report.lhs is StateValue.zero() and report.rhs is StateValue.zero()
         assert report.holds
     # and with the masks equal, the same quadruple shape is nonzero
-    report = _assert_matches_reference((ab, a, a, ab))
+    report, _ = _assert_matches_reference((ab, a, a, ab))
     assert report.lhs == report.rhs == StateValue.exact(0)
 
 
