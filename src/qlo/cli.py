@@ -69,6 +69,9 @@ def emit_config(config):
     return json.dumps(config.to_json_dict(), indent=2) + "\n"
 
 
+_NAME_SEPARATORS = ".|,"  # '.' and '|' join letters and blocks in Trace.serialize(), ',' CSV fields
+
+
 def _require(condition, message):
     if not condition:
         raise ConfigError(message)
@@ -99,6 +102,9 @@ def config_from_dict(data, source="config"):
         _require(set(entry) == {"name", "weight"}, f"{where} needs exactly name and weight")
         name = entry["name"]
         _require(isinstance(name, str) and name, f"{where}: name must be a nonempty string")
+        for ch in _NAME_SEPARATORS:
+            _require(ch not in name, f"{where}: name {name!r} holds {ch!r}, which separates "
+                     "letters in serialized traces and fields in CSV rows")
         _require(name not in names, f"{where}: duplicate name {name!r}")
         names.add(name)
         generators.append((name, _parse_weight(entry["weight"], where)))

@@ -167,7 +167,12 @@ def _poly(coeffs, scale):
     """The polynomial with coeffs[k] at t**(k/scale), on its coarsest lattice."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    step = math.gcd(scale, *(k for k, c in enumerate(coeffs) if c))
+    step = scale
+    for k, c in enumerate(coeffs):
+        if step == 1:  # the lattice is already the finest
+            break
+        if c:
+            step = math.gcd(step, k)
     poly = WeightedPolynomial.__new__(WeightedPolynomial)
     poly._coeffs, poly.scale, poly._terms = coeffs[::step], scale // step, None
     return poly

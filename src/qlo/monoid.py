@@ -14,11 +14,12 @@ block commute pairwise, so every block mask is a clique, and the graph keeps
 two tables keyed by such masks, filled on first lookup: ``_dependents`` (the
 letters that depend on some letter of the block) and ``_block_weight``.  A
 whole block then drops onto a stack at once, each letter landing just above
-the highest block whose dependents mask holds it.  Two cases skip the block
-walk: a product whose right factor starts inside the dependents of the left
-factor's top block is the concatenation of their blocks, and taking a whole
-first block off the front leaves the blocks after it.  Weights are ints on the
-lattice (1/scale)*Z, with scale the lcm of the weight denominators.  The
+the highest block whose dependents mask holds it.  Two cases skip most of
+the block walk: a product whose right factor starts inside the dependents of
+the left factor's top block is the concatenation of their blocks, and taking
+letters off the front stops at the first block that keeps all its letters or
+falls whole, past which every block stays or falls by one.  Weights are ints
+on the lattice (1/scale)*Z, with scale the lcm of the weight denominators.  The
 letter forms of a trace (``key``, ``blocks``) and its ``Fraction`` weight
 are derived on first use.  Equality, left divisibility, least common upper
 bounds and Wick reordering are all decided exactly; weights are never floats.
@@ -371,21 +372,27 @@ def _remove_front(reach, blocks, head):
     `head` lies in the first block.  Its letters commute with each other, so
     no dependency chain holds two of them and every other letter falls by at
     most one block: it falls exactly when nothing that stays in the block
-    below depends on it.  When `head` is the whole first block nothing
-    stays, so every later block falls by exactly one: the rest is
-    ``blocks[1:]``, a tuple when `blocks` is one, never copied block by block.
+    below depends on it.  So the walk stops early.  Once a block keeps all
+    its letters, every later block depends on the one below and keeps them
+    too.  Once a block falls whole, nothing stays below the next one, which
+    falls whole in turn: every later block falls by exactly one.  When
+    `head` is the whole first block the second case holds at once, and the
+    rest is ``blocks[1:]``, a tuple when `blocks` is one.
     """
     stay = blocks[0] & ~head
     if not stay:
         return blocks[1:]
     out = [stay]
-    for b in blocks[1:]:
+    for i in range(1, len(blocks)):
+        b = blocks[i]
         fall = b & ~reach[stay]
+        if not fall:
+            return (*out, *blocks[i:])
         out[-1] |= fall
-        stay = b & ~fall
+        stay = b ^ fall
+        if not stay:
+            return (*out, *blocks[i + 1 :])
         out.append(stay)
-    if not out[-1]:
-        out.pop()
     return out
 
 

@@ -8,13 +8,20 @@ degree: the roots of x**(1 - e1) * p', one term fewer, cut (0, 1] into pieces
 on which p is monotone, down to where Descartes' rule of signs allows one
 positive root.  Each loop stops at a step limit from its inputs and raises
 ArithmeticError there.  Fraction appears only in the endpoints returned.
+
+A root's dyadic node at a level, the [a, a + 1] / 2**level that holds it,
+is proposed by floats and certified by exact signs: safeguarded Newton steps
+on the float terms propose the node, and the exact signs at its two ends
+certify it, a zero there being the root itself.  Floats never decide a sign.
+Where the signs do not certify the node, or a coefficient has no float, one
+exact sign per level finds it instead, so the nodes are the same either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, inf, lcm, ldexp, ulp
 
 __all__ = [
     "sign_at",
@@ -120,6 +127,36 @@ def halvings(coeffs, lo, hi):
     return _halvings(_terms(coeffs), ln, hn, den)
 
 
+def _certified_halvings(coeffs, lo, hi, wide, most):
+    """The triples `halvings(coeffs, lo, hi)` yields up to the first on which
+    `wide(ln, hn)` fails, or its first most + 1, from one certified node.
+    [lo, hi] is a dyadic node with lo > 0, and on nodes (hn = ln + 1) `wide`
+    fails from some ln on.  k halvings down, ln is at least lo's numerator
+    << k, so the first k where `wide` fails there is the deepest level the
+    halvings can reach.  `_certified_node` gives the node at that level, and
+    the triples are its ancestors, down to a dyadic root that the halvings
+    would meet.  None where [lo, hi] is no such node or the node is not
+    certified."""
+    den = lcm(lo.denominator, hi.denominator)
+    ln, hn = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    if not (ln and hn == ln + 1 and den & (den - 1) == 0):
+        return None
+    top = next((k for k in range(most) if not wide(ln << k, (ln << k) + 1)), max(most, 0))
+    if not top:
+        return [(ln, hn, den)]
+    node = _certified_node(_terms(coeffs), ln, hn, den, den.bit_length() - 1 + top)
+    if node is None:
+        return None
+    a, b = node
+    steps = []
+    for k in range(top, -1, -1):  # the ancestor of the node k levels up
+        n = a >> k
+        if a == b and n << k == a:  # the halving that meets a dyadic root
+            return steps + [(n, n, den << (top - k))]
+        steps.append((n, n + 1, den << (top - k)))
+    return steps
+
+
 # A root of one level is a tuple (ln, hn, den, multiplicity, f): [ln/den,
 # hn/den] holds it and no other root of the level, den is a power of two, and
 # f (terms) is simple at it and changes sign across; ln == hn if it is exact.
@@ -214,24 +251,91 @@ def _deflate(coeffs, x):
     return quot[::-1]
 
 
-def _node(root, level):
-    """The root on the dyadic node of this level that holds it, found by
-    walking down from [0, 2] with its bracket as the guide; a dyadic root the
-    walk meets comes back exact.  An exact root at a node end is divided out."""
-    ln, hn, den, mult, f = root
-    if ln == hn:  # exact: its linear factor
-        f = _terms(_primitive([-ln, den]))
+def _propose(f, lo, hi, level):
+    """A float near the root of f in the float bracket (lo, hi), by Newton
+    steps kept inside it, bisecting where a step leaves it or fails to halve
+    the one before.  It stops once a step moves less than a quarter of a
+    level node or a few ulps, or after 2 * level + 16 steps.  Only a
+    proposal: float signs here steer the bracket and decide nothing.
+    OverflowError when a coefficient has no float."""
+    terms = [(e, float(c)) for e, c in f]
+    negative_at_lo = sum(c * lo**e for e, c in terms) < 0
+    x, step, close = (lo + hi) / 2, hi - lo, 2.0 ** -(level + 2)
+    for _ in range(2 * level + 16):
+        fx = xdfx = 0.0  # f(x) and x * f'(x)
+        for e, c in terms:
+            cx = c * x**e
+            fx += cx
+            xdfx += e * cx
+        if (fx < 0) == negative_at_lo:
+            lo = x
+        else:
+            hi = x
+        new = x - x * fx / xdfx if xdfx else inf
+        if not lo <= new <= hi or abs(new - x) > step / 2:
+            new = (lo + hi) / 2
+        step, x = abs(new - x), new
+        if step < close or step <= 4 * ulp(x):
+            break
+    return x
+
+
+def _certified_node(f, ln, hn, den, level):
+    """The level node [a, b] / 2**level that holds the root of f in the
+    bracket [ln, hn] / den, where f is simple at it, has no other root and
+    changes sign; a == b when the root is that dyadic, exactly.  Floats only
+    propose the node (`_propose`); exact signs at its two ends, clipped to
+    the bracket, certify it, and a zero there is the root.  None when floats
+    overflow or the signs do not certify, and the caller bisects instead."""
+    try:
+        a = floor(ldexp(_propose(f, ln / den, hn / den, level), level))
+    except (OverflowError, ValueError):
+        return None
+    common = lcm(den, 1 << level)
+    unit, lo, hi = common >> level, ln * (common // den), hn * (common // den)
+    a = min(max(a, lo // unit), (hi - 1) // unit)  # a node that meets the bracket
+    cl, ch = max(lo, a * unit), min(hi, (a + 1) * unit)
+    sl, sh = _sign(f, cl, common), _sign(f, ch, common)
+    if sl * sh < 0:
+        return a, a + 1
+    if sl == 0:  # f(lo) != 0, so cl is the node's lower end
+        return a, a
+    if sh == 0:
+        return a + 1, a + 1
+    return None
+
+
+def _walk(f, ln, hn, den, level):
+    """`_certified_node` by one exact sign per level, walking down from
+    [0, 2] with the bracket as the guide."""
     sl, a = _sign(f, ln, den), 0
     for j in range(level + 1):
         m = 2 * a + 1  # the midpoint of the node, over 2**j
         below, above = m * den - (ln << j), m * den - (hn << j)
         inside = above < 0 < below  # the midpoint splits the bracket
         s = _sign(f, m, 1 << j) if inside else None
-        if below == above == 0 or s == 0:
-            x = Fraction(m, 1 << j)
-            return IsolatedRoot(x, x, mult, (-x.numerator, x.denominator))
+        if s == 0:
+            return m << (level - j), m << (level - j)
         a = m if (s == sl if inside else below <= 0) else 2 * a
-    lo, hi = Fraction(a, 1 << level), Fraction(a + 1, 1 << level)
+    return a, a + 1
+
+
+def _node(root, level):
+    """The root on the dyadic node of this level that holds it; a root at a
+    dyadic of this level or above comes back exact.  `_certified_node` finds
+    the node from a float proposal and two exact signs, and `_walk` finds it
+    by one exact sign per level where that declines, so floats never decide
+    a sign.  An exact root at a node end is divided out."""
+    ln, hn, den, mult, f = root
+    if ln == hn:  # exact: its linear factor
+        f = _terms(_primitive([-ln, den]))
+        a, rem = divmod(ln << level, den)
+        a, b = (a, a) if rem == 0 else (a, a + 1)
+    else:
+        a, b = _certified_node(f, ln, hn, den, level) or _walk(f, ln, hn, den, level)
+    lo, hi = Fraction(a, 1 << level), Fraction(b, 1 << level)
+    if a == b:
+        return IsolatedRoot(lo, lo, mult, (-lo.numerator, lo.denominator))
     factor = _dense(f)
     for end in (lo, hi):
         while sign_at(factor, end) == 0:

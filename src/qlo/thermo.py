@@ -4,8 +4,10 @@ The growth series of the monoid, evaluated at t = exp(-beta), is the
 partition function; its abscissa of convergence beta_c is -log of the
 smallest root of the clique polynomial in (0, 1].  Roots are isolated with
 exact integer signs on the rescaled exponent lattice (`rootiso`) and refined
-by integer bisection, so beta_c = 0 is returned exactly (never as a small
-float) and the smallest-root claim is certified by the isolation itself.
+to the bracket an integer bisection stops at, reached from one node that a
+float proposes and exact signs certify, so beta_c = 0 is returned exactly
+(never as a small float) and the smallest-root claim is certified by the
+isolation itself.
 Equilibrium values on starred monomials are evaluated symbolically in the
 exponent, which makes the twisted-trace identity an exact, beta-independent
 check.  Its sides are decided in ``monoid`` on block masks and scaled integer
@@ -113,14 +115,30 @@ class ThermoContext:
 
 
 def _refine_root(ctx, root, tol):
-    """Shrink an isolated root until its beta window is below tol, once per tol."""
+    """Shrink an isolated root until its beta window is below tol, once per tol.
+
+    The bracket is the one a bisection stops at: it halves until its
+    numerators have d * ((hn - ln) / ln) <= tol / 2, or meet at a dyadic
+    root.  `rootiso._certified_halvings` gives those halvings from one node
+    that a float proposes and two exact signs certify, at the level where
+    the rule holds at the latest, and the rule runs on its ancestors as it
+    would on the halvings.  Where the node is not certified, the halvings of
+    `rootiso.halvings` take one exact sign each.  Floats never decide a
+    sign, so the bracket is the same either way.
+    """
     if (root, tol) not in ctx._refined:
         d = ctx.clique_poly.scale
         # the window starts at most tol/2 * ratio and halves; 2 steps cover rounding
         ratio = 0 if root.exact else 2 * d * (root.hi - root.lo) / (root.lo * Fraction(tol))
         limit = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 2
-        for step, (ln, hn, den) in enumerate(rootiso.halvings(list(root.factor), root.lo, root.hi)):
-            if not (ln != hn and d * ((hn - ln) / ln) > tol / 2):
+
+        def wide(ln, hn):
+            return ln != hn and d * ((hn - ln) / ln) > tol / 2
+
+        coeffs = list(root.factor)
+        steps = rootiso._certified_halvings(coeffs, root.lo, root.hi, wide, limit)
+        for step, (ln, hn, den) in enumerate(steps or rootiso.halvings(coeffs, root.lo, root.hi)):
+            if not wide(ln, hn):
                 ctx._refined[root, tol] = Fraction(ln, den), Fraction(hn, den)
                 break
             if step >= limit:

@@ -403,6 +403,20 @@ def test_exit_validation_on_bad_config(capsys, tmp_path):
     assert "generators" in err
 
 
+@pytest.mark.parametrize("name", ["a.b", "a|b", "a,b", "."])
+def test_exit_validation_on_a_name_that_holds_a_separator(capsys, tmp_path, name):
+    with open(DATA / "free2.json") as fh:
+        data = json.load(fh)
+    data["generators"][0]["name"] = name
+    data["commuting_pairs"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "growth", "--config", str(bad), "--cutoff", "2")
+    assert (code, out) == (3, "")
+    separator = next(ch for ch in ".|," if ch in name)
+    assert f"name {name!r} holds {separator!r}" in err
+
+
 def test_exit_validation_when_graph_missing(capsys):
     assert run_cli(capsys, "growth", "--cutoff", "2")[0] == 3
 

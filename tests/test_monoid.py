@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlo import (
     GraphError,
@@ -458,8 +458,15 @@ def _weight_and_length(t):
     return sum((t.graph.weights[s] for s in letters), Fraction(0)), len(letters)
 
 
+# blocks {a, b} {c} {d}, c depending on b alone: taking a off the front,
+# {c} keeps its letters and the walk stops there; taking b, {c} falls whole
+# and {d} falls by one after it
+_BOTH_EXITS = (build_graph("abcd", 1, [("a", "b"), ("a", "c")]), list("abcd"), list("abcd"))
+
+
 @settings(deadline=None, max_examples=300)
 @given(wide_graph_and_words())
+@example(_BOTH_EXITS)
 def test_block_kernels_match_letter_by_letter_references(case):
     graph, u, v = case
     dep = graph._dep

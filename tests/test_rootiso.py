@@ -1,13 +1,16 @@
 """Exact root isolation: known polynomials, multiplicities, tight clusters."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlo import clique_polynomial, rootiso
+from qlo import ThermoContext, clique_polynomial, clique_roots_in_unit_interval, rootiso
+from qlo.thermo import _refine_root
 from conftest import (
     fraction_halvings,
     fraction_horner,
@@ -292,3 +295,122 @@ def test_a_stuck_bisection_raises_instead_of_hanging(monkeypatch):
     # narrower than about 2^-10, which a stuck bisection never reaches
     with pytest.raises(ArithmeticError):
         rootiso.roots_in_unit_interval([2**20 + 1, -6 * 2**20, 9 * 2**20])
+
+
+# -- certified float proposals against one exact sign per bit -------------------
+
+TOLS = (1e-2, 1e-6, 1e-9, 1e-12, 1e-14)  # at 1e-2 a level-20 node is already narrow enough
+
+
+@contextlib.contextmanager
+def _declined():
+    """Every float proposal declined: nodes and brackets from one exact sign
+    per bit, the reference the certified nodes must reproduce."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootiso, "_certified_node", lambda *args: None)
+        yield
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _edge_tols(root, scale, k):
+    """Two tols at the edge of the stop rule on the node k halvings below the
+    root's: the rule first holds on that node at one of them, and one
+    halving lower at the other.  There the lower and the upper end of the
+    root's node can give different levels, so only the rule on the
+    certified node's ancestors stops where the bisection does.  No tols when
+    the root is exact, its node starts at 0, or k halvings meet it."""
+    if root.exact or root.lo == 0:
+        return []
+    steps = rootiso.halvings(list(root.factor), root.lo, root.hi)
+    *_, (ln, hn, den) = itertools.islice(steps, k + 1)
+    if ln == hn:
+        return []
+    edge = 2 * scale * ((hn - ln) / ln)
+    return [edge * (1 + 2**-30), edge * (1 - 2**-30)]
+
+
+def _refinements(p, scale, k):
+    """The roots of p and their brackets at TOLS and at each root's edge tols,
+    refined on a stand-in context of this scale."""
+    ctx = SimpleNamespace(clique_poly=SimpleNamespace(scale=scale), _refined={})
+    roots = rootiso.roots_in_unit_interval(p)
+    tols = [*TOLS, *(tol for r in roots for tol in _edge_tols(r, scale, k))]
+    return roots, [_outcome(lambda: _refine_root(ctx, r, tol)) for tol in tols for r in roots]
+
+
+# roots a/b: dyadic (b a power of two, some past the level-20 nodes), small,
+# or a close pair k/n, (k+1)/n with n up to 2**40, each with a multiplicity
+# up to 3
+dyadic_or_small_roots = st.one_of(
+    st.tuples(st.integers(1, 2**12 - 1), st.just(2**12)),
+    st.integers(21, 44).flatmap(lambda k: st.tuples(st.integers(1, 2**k - 1), st.just(2**k))),
+    st.tuples(st.integers(1, 8), st.integers(2, 9)),
+).filter(lambda t: t[0] < t[1])
+close_pairs = st.tuples(st.integers(2**19, 2**40), st.integers(2**20, 2**40)).filter(
+    lambda t: t[0] + 1 < t[1]
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.tuples(dyadic_or_small_roots, st.integers(1, 3)), max_size=3),
+    st.lists(close_pairs, max_size=1),
+    quadratics,
+    st.sampled_from([1, 2, 12, 194]),
+    st.integers(1, 30),
+)
+def test_certified_nodes_match_one_sign_per_bit_on_products(roots, pairs, quadratic, scale, k):
+    p = [c // math.gcd(*quadratic) for c in quadratic]
+    for (a, b), mult in roots:
+        for _ in range(mult):
+            p = times(p, [-a, b])
+    for j, n in pairs:
+        p = times(times(p, [-j, n]), [-j - 1, n])
+    got = _outcome(lambda: _refinements(p, scale, k))
+    with _declined():
+        want = _outcome(lambda: _refinements(p, scale, k))
+    assert got == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    weighted_graphs(min_letters=2, max_letters=6, denominators=(1, 2, 3, 4, 6, 7)),
+    st.integers(1, 30),
+)
+def test_certified_nodes_match_one_sign_per_bit_on_clique_polynomials(graph, k):
+    def run():
+        ctx = ThermoContext(graph)
+        scale = ctx.clique_poly.scale
+        tols = [*TOLS, *(tol for r in ctx._roots for tol in _edge_tols(r, scale, k))]
+        return ctx._roots, ctx.beta_c, [clique_roots_in_unit_interval(ctx, tol) for tol in tols]
+
+    got = run()
+    with _declined():
+        want = run()
+    assert got == want
+
+
+@pytest.mark.parametrize("proposal", [0.0, 0.25, 0.5, 0.75, 1.0, 2.0, -1.0, math.inf, math.nan])
+def test_a_proposal_off_the_bracket_is_clipped_or_declined(monkeypatch, proposal):
+    # sqrt(1/3) ~ 0.5774 on the bracket [9/16, 5/8]: every proposal, however
+    # far off, gives the walk's node or None, never a node beside the bracket
+    f = rootiso._terms([-1, 0, 3])
+    monkeypatch.setattr(rootiso, "_propose", lambda *args: proposal)
+    for level in (2, 3, 4, 8, 20):
+        node = rootiso._certified_node(f, 9, 10, 16, level)
+        assert node in (None, rootiso._walk(f, 9, 10, 16, level))
+
+
+def test_a_certified_node_takes_two_exact_signs(monkeypatch):
+    f, signs = rootiso._terms([-1, 0, 3]), []
+    walked = [rootiso._walk(f, 1, 2, 2, level) for level in (20, 45)]
+    real = rootiso._sign
+    monkeypatch.setattr(rootiso, "_sign", lambda *args: signs.append(args) or real(*args))
+    assert [rootiso._certified_node(f, 1, 2, 2, level) for level in (20, 45)] == walked
+    assert len(signs) == 4  # one at each end of each node

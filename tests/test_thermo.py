@@ -145,18 +145,27 @@ def test_clique_roots_agree_with_beta_c():
         assert abs(math.exp(-ctx.beta_c) - report.roots[0].value) <= 2 * tol
 
 
-def test_roots_report_reuses_the_refined_smallest_root(monkeypatch):
+class _RecordingCache(dict):
+    """A refinement cache that records the key of every bracket stored in it."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_roots_report_reuses_the_refined_smallest_root():
     ctx = ThermoContext(NAMED_GRAPHS["cycle5"]())  # Q = 1 - 5t + 5t^2: two roots
-    real, starts = rootiso.halvings, []
-    monkeypatch.setattr(
-        rootiso, "halvings", lambda f, lo, hi: starts.append(lo) or real(f, lo, hi)
-    )
+    ctx._refined = cache = _RecordingCache(ctx._refined)
     report = clique_roots_in_unit_interval(ctx, ctx.tol)
-    assert starts == [root.lo for root in ctx._roots[1:]]
+    assert cache.stored == [(root, ctx.tol) for root in ctx._roots[1:]]
     assert clique_roots_in_unit_interval(ctx, ctx.tol) == report
-    assert len(starts) == len(ctx._roots) - 1  # the second report bisects nothing
+    assert len(cache.stored) == len(ctx._roots) - 1  # the second report refines nothing
     clique_roots_in_unit_interval(ctx, ctx.tol / 4)
-    assert len(starts) == 2 * len(ctx._roots) - 1  # a new tol refines every root
+    assert len(cache.stored) == 2 * len(ctx._roots) - 1  # a new tol refines every root
 
 
 def test_a_stuck_bisection_fails_the_refinement(monkeypatch):
@@ -165,9 +174,18 @@ def test_a_stuck_bisection_fails_the_refinement(monkeypatch):
             yield lo.numerator, hi.numerator, lo.denominator
 
     ctx = ThermoContext(NAMED_GRAPHS["cycle5"]())
+    monkeypatch.setattr(rootiso, "_certified_node", lambda *args: None)  # no float proposal
     monkeypatch.setattr(rootiso, "halvings", stuck)
     with pytest.raises(ArithmeticError):
         clique_roots_in_unit_interval(ctx, ctx.tol / 4)
+
+
+def test_refining_a_root_takes_two_exact_signs(monkeypatch):
+    ctx = ThermoContext(NAMED_GRAPHS["cycle5"]())
+    signs, real = [], rootiso._sign
+    monkeypatch.setattr(rootiso, "_sign", lambda *args: signs.append(args) or real(*args))
+    clique_roots_in_unit_interval(ctx, ctx.tol / 4)
+    assert len(signs) == 2 * len(ctx._roots)  # one certified node per root
 
 
 def test_beta_c_at_scale_1994():
