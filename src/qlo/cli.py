@@ -14,12 +14,13 @@ import json
 import math
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fock, thermo
-from .growth import MAX_BASIS_DIM, clique_polynomial, enumerate_up_to, growth_table, invert_series
-from .monoid import GraphError, build_graph
+from . import thermo
+from .growth import MAX_BASIS_DIM, clique_polynomial, growth_table, invert_series
+from .monoid import GraphError, build_graph, multiply
 from .presets import preset_graph
 from .thermo import ComputationError, ThermoContext
 
@@ -29,9 +30,7 @@ EXIT_VALIDATION = 3
 EXIT_COMPUTATION = 4
 EXIT_VERIFICATION = 5
 
-# most samples * (basis dimension + 1,000) one kms-check runs: each sample maps
-# nearly the whole basis twice; the default 20 samples pass at every dimension
-MAX_KMS_WORK = 20 * (MAX_BASIS_DIM + 1_000)
+MAX_KMS_WORK = 50_000  # most samples one kms-check draws: about 2 s on the presets
 
 
 class ConfigError(ValueError):
@@ -267,22 +266,25 @@ def _cmd_kms_check(args):
     samples = args.samples
     if samples < 1:
         raise ConfigError("--samples must be at least 1")
+    if samples > MAX_KMS_WORK:
+        raise ComputationError(f"--samples {samples} is past the limit {MAX_KMS_WORK}")
     ctx = _context_above_beta_c(graph, beta)
-    rep = fock.build_rep(graph, cutoff, thermo=ctx)
-    work = samples * (rep.dim + 1_000)
-    if work > MAX_KMS_WORK:
-        raise ComputationError(
-            f"--samples {samples} at basis dimension {rep.dim} costs {work} "
-            f"(samples * (dimension + 1000)), past the limit {MAX_KMS_WORK}"
-        )
-    # a trace of at most 2 letters weighs at most 2 * w_max: filter that prefix of the rep's basis
-    short = min(cutoff, 2 * max(graph.weights.values()))
-    pool = [t for t in enumerate_up_to(graph, short) if t.length <= 2]
+    # the pool, the basis traces of at most 2 letters in basis order: the products
+    # s*t of e and the letters, each s with the prefix by weight that keeps s*t in W
+    units = sorted([graph.identity(), *map(graph.gen, graph.generators)], key=lambda t: t._w)
+    top = math.floor(cutoff * graph.scale)
+    heads = [bisect_right(units, top - s._w, key=lambda t: t._w) for s in units]
+    if sum(heads) > MAX_BASIS_DIM:
+        raise ComputationError(f"{sum(heads)} pool products exceed the limit {MAX_BASIS_DIM}")
+    products = {u._masks: u for s, k in zip(units, heads) for u in (multiply(s, t) for t in units[:k])}
+    pool = sorted(products.values(), key=lambda t: (t._w, t.serialize()))  # Trace.sort_key's order
+    sums = thermo._level_sums(ctx, beta, cutoff)
     rng = random.Random(20_24)
     rows = []
     for _ in range(samples):
         p1, q1, p2, q2 = (rng.choice(pool) for _ in range(4))
-        report = fock.kms_numeric_check(rep, (p1, q1), (p2, q2), beta)
+        masses = thermo._twisted_masses(sums, (p1, q1), (p2, q2), beta)
+        report = thermo._kms_report(ctx, (p1, q1), (p2, q2), beta, cutoff, *masses, sums[-1])
         rows.append(([t.serialize() for t in (p1, q1, p2, q2)], report))
     failures = sum(not r.ok for _, r in rows)
     csv_lines = ["sample,p1,q1,p2,q2,residual,bound,ok"] + [
@@ -417,7 +419,7 @@ def _build_parser():
     p.add_argument("--cutoff", required=True)
     p.set_defaults(func=_cmd_gibbs)
 
-    p = sub.add_parser("kms-check", parents=[common], help="numeric twisted-trace residuals")
+    p = sub.add_parser("kms-check", parents=[common], help="twisted-trace residuals from growth counts")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--cutoff", required=True)
     p.add_argument("--samples", type=int, default=20)

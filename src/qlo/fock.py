@@ -15,6 +15,8 @@ integers at every finite W (the vacuum's given injective generator maps).
 through its matmul, the independent oracle for those maps.  Floating point
 enters only through the density exp(-beta*H) and the Gibbs/twisted-trace
 numerics, whose truncation error is controlled by an exact tail bound.
+``kms_numeric_check``, which sums over the rows these maps fix, is the oracle
+of the closed form on growth counts that ``thermo`` gives `kms-check`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import cmath
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,7 +32,7 @@ from .growth import _basis, _cliques, _top_level, _traces
 # multiply is unused; bench/tests checks that tracing restores qlo.fock.multiply
 from .monoid import INFINITY, join, multiply  # noqa: F401
 from .monoid import _check_same_graph, _letters
-from .thermo import ComputationError, ThermoContext, tail_mass
+from .thermo import ComputationError, KmsNumericReport, ThermoContext, _kms_report
 
 __all__ = [
     "OperatorIdentityError",
@@ -49,9 +50,6 @@ __all__ = [
     "dynamics_factor",
     "kms_numeric_check",
 ]
-
-KMS_SLACK = 1e-12  # added to every kms_numeric_check bound for the rounding of its float sums
-
 
 class OperatorIdentityError(RuntimeError):
     """An identity that must hold exactly failed; indicates a bug."""
@@ -153,18 +151,16 @@ class TruncatedRep:
     """Ordered weight-<=W basis with an index lookup: the first `dim` rows of
     the graph's enumeration trie (top, weights, parents, lasts, child), read in
     place and maybe past W.  Traces are built only when `basis` is read;
-    rep.thermo() returns ``thermo`` when one over the same graph is passed in."""
+    rep.thermo() makes the graph's ThermoContext on first call."""
 
-    def __init__(self, graph, cutoff, thermo=None):
+    def __init__(self, graph, cutoff):
         self.graph = graph
-        if thermo is not None:
-            _check_same_graph(self, thermo)
         self.cutoff = Fraction(cutoff)
         self._top = _top_level(self.cutoff, graph.scale)
         self._rows, self.dim = _basis(graph, self.cutoff)
         self._left_cache = {(): list(range(self.dim))}  # p's masks -> L_p's map
         self._density_cache = {}
-        self._thermo = thermo
+        self._thermo = None
 
     @cached_property
     def basis(self):
@@ -189,9 +185,9 @@ class TruncatedRep:
         return f"TruncatedRep(cutoff={self.cutoff}, dim={self.dim})"
 
 
-def build_rep(graph, cutoff, thermo=None):
+def build_rep(graph, cutoff):
     """The TruncatedRep of weight <= cutoff (ComputationError past MAX_BASIS_DIM)."""
-    return TruncatedRep(graph, cutoff, thermo)
+    return TruncatedRep(graph, cutoff)
 
 
 def _left_map(rep, p):
@@ -328,53 +324,22 @@ def dynamics_factor(p, q, z):
     return cmath.exp(1j * z * float(p.weight - q.weight))
 
 
-@dataclass(frozen=True)
-class KmsNumericReport:
-    residual: float
-    bound: float
-    psi_ab: complex
-    psi_ba: complex
-    twist: float
-    beta: float
-    cutoff: Fraction
-
-    @property
-    def ok(self):
-        return self.residual <= self.bound
-
-
 def kms_numeric_check(rep, pair1, pair2, beta):
     """Twisted-trace residual of two truncated monomials, with a tail bound.
 
-    For A = L_p1 L_q1^* and B = L_p2 L_q2^*, computes
-    |psi(AB) - twist * psi(BA)| with psi the truncated Gibbs state; the
-    reported bound is (tail(W - dB) + twist * tail(W - dA)) / Z_W + 1e-12
-    (KMS_SLACK, room for the rounding of the float sums) where dA, dB are the
-    weight gains of A and B, and is rigorous for beta above the critical value.
+    For A = L_p1 L_q1^* and B = L_p2 L_q2^*, the masses of psi sum the density
+    over the rows that the composed maps fix, and Z_W sums it over every row;
+    `thermo._kms_report` gives the residual and its bound.
     """
-    (p1, q1), (p2, q2) = pair1, pair2
-    for x in (p1, q1, p2, q2):
+    for x in (*pair1, *pair2):
         _check_same_graph(rep, x)
     ctx = rep.thermo()
     if not ctx.beta_c < beta < math.inf:
         raise ComputationError(f"tail bound needs a finite beta > beta_c = {ctx.beta_c:.12g}")
-    a_map, b_map = _monomial_map(rep, p1, q1), _monomial_map(rep, p2, q2)
+    a_map, b_map = _monomial_map(rep, *pair1), _monomial_map(rep, *pair2)
     weights = _density_values(rep, beta)
-    z_trunc = sum(weights)
-    psi_ab = _fixed_point_mass(a_map, b_map, weights) / z_trunc
-    psi_ba = _fixed_point_mass(b_map, a_map, weights) / z_trunc
-    twist = math.exp(-beta * float(p1.weight - q1.weight))
-    residual = abs(psi_ab - twist * psi_ba)
-
-    gain_b = max(p2.weight - q2.weight, Fraction(0))
-    gain_a = max(p1.weight - q1.weight, Fraction(0))
-    tail_b = tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_b)
-    tail_a = tail_b if gain_a == gain_b else tail_mass(ctx, beta, rep.cutoff, up_to=rep.cutoff - gain_a)
-    bound = (tail_b + twist * tail_a) / z_trunc
-    return KmsNumericReport(
-        residual=residual, bound=bound + KMS_SLACK, psi_ab=psi_ab, psi_ba=psi_ba,
-        twist=twist, beta=beta, cutoff=rep.cutoff,
-    )
+    masses = _fixed_point_mass(a_map, b_map, weights), _fixed_point_mass(b_map, a_map, weights)
+    return _kms_report(ctx, pair1, pair2, beta, rep.cutoff, *masses, sum(weights))
 
 
 def _monomial_map(rep, p, q):

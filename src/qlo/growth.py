@@ -337,9 +337,7 @@ def enumerate_up_to(graph, cutoff):
 
 def _traces(graph, basis, end):
     """Traces of the first `end` rows of the graph's enumeration, in row order,
-    each built from its parent's (an earlier row) masks and length.  A trace
-    of k letters weighs at most k times the heaviest letter, so the traces of
-    at most k letters all lie among the rows up to that weight."""
+    each built from its parent's (an earlier row) masks and length."""
     weights, parents, lasts = basis.weights, basis.parents, basis.lasts
     out = [graph.identity()]
     for row in range(1, end):

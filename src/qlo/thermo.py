@@ -12,6 +12,10 @@ Equilibrium values on starred monomials are evaluated symbolically in the
 exponent, which makes the twisted-trace identity an exact, beta-independent
 check.  Its sides are decided in ``monoid`` on block masks and scaled integer
 weights, with an exact weight test as the early exit before any mask work.
+The same kernel gives `kms-check` the truncated twisted trace in closed form
+from growth counts, with ``fock.kms_numeric_check`` on the representation as
+its oracle: for (a, b) = wick(q1, p2), Tr(L_p1 L_q1^* L_p2 L_q2^* e^(-beta*H))_W
+= e^(-beta*w(p1*a)) * Z_(W - max(w(p1), w(q1)) - w(a)) if p1*a == q2*b, else 0.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from . import rootiso
-from .growth import ComputationError, clique_polynomial, growth_table
+from .growth import ComputationError, _times_exp, _top_level, clique_polynomial, growth_table
 from .monoid import _check_same_graph, _twisted_weight
 
 __all__ = [
@@ -86,7 +91,7 @@ class ThermoContext:
         self._roots = rootiso.roots_in_unit_interval(self._coeffs)
         self.tol = tol
         self._refined = {}  # (isolated root, tol) -> refined (lo, hi)
-        self._tails = {}  # (cutoff, up_to) -> tail_mass's (d, top, -Q terms, S terms)
+        self._tails = {}  # (cutoff, up_to) -> tail_mass's ((d, top, -Q terms, S terms), {beta: bound})
         self.beta_c = beta_critical(self, tol)
 
     def growth(self, cutoff):
@@ -261,7 +266,7 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     sparse Horner.  The table is computed at `cutoff`; V defaults to it.
     None of d, M and the nonzero terms of Q and R depends on beta, so the
     context keeps them per (cutoff, V), and a later call at any beta only
-    bounds them there.
+    bounds them there; the bound it returns at a beta is kept with them.
     """
     if not beta > ctx.beta_c:
         raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
@@ -269,8 +274,10 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     bound = cutoff if up_to is None else Fraction(up_to)
     key = cutoff, bound
     if key not in ctx._tails:
-        ctx._tails[key] = _tail_terms(ctx, cutoff, bound)
-    d, top, neg_q, s = ctx._tails[key]
+        ctx._tails[key] = _tail_terms(ctx, cutoff, bound), {}
+    (d, top, neg_q, s), bounds = ctx._tails[key]
+    if beta in bounds:
+        return bounds[beta]
     lo, hi = _exp_bracket(-beta / d)
     s_num, s_den = _upper(s, lo, hi)
     q_num, q_den = _upper(neg_q, lo, hi)  # -(a lower bound of Q)
@@ -285,6 +292,7 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     value_num, value_den = value.as_integer_ratio()
     if value_num * den < num * value_den:
         value = math.nextafter(value, math.inf)
+    bounds[beta] = value
     return value
 
 
@@ -302,6 +310,23 @@ def _tail_terms(ctx, cutoff, bound):
         if r:
             s.append((m, r))
     return d, top, [(k, -c) for k, c in q], s
+
+
+def _level_sums(ctx, beta, cutoff):
+    """Z_V at each scaled level V up to W, as running sums of the terms that
+    GrowthTable.truncated_sum adds, so the last is Z_W (Z_V = 0 below level 0)."""
+    s, d = ctx.growth(cutoff)._series, ctx.graph.scale
+    sums = list(accumulate(n and _times_exp(n, -beta * (k / s.scale)) for k, n in enumerate(s._coeffs)))
+    return [sums[min(k * s.scale // d, len(sums) - 1)] for k in range(_top_level(cutoff, d) + 1)]
+
+
+def _twisted_masses(sums, pair1, pair2, beta):
+    """Tr(AB rho)_W and Tr(BA rho)_W of A = L_p1 L_q1^*, B = L_p2 L_q2^* on the
+    Z_V of `_level_sums`: AB fixes x = p1*a*u = q2*b*u when x, q1*a*u weigh <= W."""
+    for (p1, q1), (p2, q2) in ((pair1, pair2), (pair2, pair1)):
+        a = _twisted_weight(p1, q1, p2, q2)
+        level = -1 if a is None else len(sums) - 1 - max(p1._w, q1._w) - a
+        yield math.exp(-beta * ((p1._w + a) / p1.graph._scale)) * sums[level] if level >= 0 else 0.0
 
 
 def _exp_bracket(y):
@@ -404,6 +429,44 @@ class KmsIdentityReport:
 
     def __reduce__(self):
         return KmsIdentityReport, self._sides
+
+
+KMS_SLACK = 1e-12  # added to every twisted-trace bound for the rounding of its float sums
+
+
+@dataclass(frozen=True)
+class KmsNumericReport:
+    residual: float
+    bound: float
+    psi_ab: complex
+    psi_ba: complex
+    twist: float
+    beta: float
+    cutoff: Fraction
+
+    @property
+    def ok(self):
+        return self.residual <= self.bound
+
+
+def _kms_report(ctx, pair1, pair2, beta, cutoff, mass_ab, mass_ba, z_trunc):
+    """Residual |psi(AB) - twist * psi(BA)| of A = L_p1 L_q1^*, B = L_p2 L_q2^*,
+    psi being the masses Tr(.. rho)_W over Z_W, and its bound (tail(W - dB) +
+    twist * tail(W - dA)) / Z_W + KMS_SLACK (room for the rounding of the float
+    sums), dA and dB the weight gains of A and B: rigorous for beta above the
+    critical value.  A twist past float range raises ComputationError."""
+    (p1, q1), (p2, q2) = pair1, pair2
+    try:
+        twist = math.exp(-beta * float(p1.weight - q1.weight))
+    except OverflowError:
+        raise ComputationError(f"the twist overflows float range at beta = {beta:.15g}") from None
+    psi_ab, psi_ba = mass_ab / z_trunc, mass_ba / z_trunc
+    gain_b = max(p2.weight - q2.weight, Fraction(0))
+    gain_a = max(p1.weight - q1.weight, Fraction(0))
+    tail_b = tail_mass(ctx, beta, cutoff, up_to=cutoff - gain_b)
+    tail_a = tail_b if gain_a == gain_b else tail_mass(ctx, beta, cutoff, up_to=cutoff - gain_a)
+    bound = (tail_b + twist * tail_a) / z_trunc + KMS_SLACK
+    return KmsNumericReport(abs(psi_ab - twist * psi_ba), bound, psi_ab, psi_ba, twist, beta, cutoff)
 
 
 def kms_identity_check(p1, q1, p2, q2):

@@ -229,7 +229,8 @@ SCALE582_STDOUT = {
         "0.00786915296765801,1,0\n"
         "0.61002383966488,1,1\n"
     ),
-    # gibbs and kms-check bound their Gibbs tails on Q's 8 nonzero terms
+    # gibbs and kms-check bound their Gibbs tails on Q's 8 nonzero terms; kms-check
+    # divides by Z_W from growth counts, as gibbs's Z_truncated
     ("gibbs --cutoff 4 --beta 6", "csv"): (
         "quantity,value\n"
         "beta,6\n"
@@ -257,12 +258,12 @@ SCALE582_STDOUT = {
     ),
     ("kms-check --cutoff 3/2 --beta 6 --samples 6", "csv"): (
         "sample,p1,q1,p2,q2,residual,bound,ok\n"
-        "0,b|d,b|b,e|b,a.e,0,0.302511465085381,1\n"
-        "1,c,d|a,e,d|b,0,0.252294071899765,1\n"
-        "2,d,b|d,a|d,d|a,0,2.63245753316367,1\n"
-        "3,b|e,c,a.e,d|b,0,0.139208532764134,1\n"
-        "4,a|c,b|e,a|a,c,0,2.58128359420567,1\n"
-        "5,b.c,a.b,d|b,c,0,0.28938214464255,1\n"
+        "0,b|d,b|b,e|b,a.e,0,0.302511465085401,1\n"
+        "1,c,d|a,e,d|b,0,0.252294071899781,1\n"
+        "2,d,b|d,a|d,d|a,0,2.63245753316384,1\n"
+        "3,b|e,c,a.e,d|b,0,0.139208532764143,1\n"
+        "4,a|c,b|e,a|a,c,0,2.58128359420583,1\n"
+        "5,b.c,a.b,d|b,c,0,0.289382144642569,1\n"
     ),
 }
 
@@ -451,21 +452,15 @@ def test_subcritical_beta_exits_before_the_basis_is_built(capsys, monkeypatch, c
     assert "--beta must exceed beta_c = 0.693147180559945" in err
 
 
-@pytest.mark.parametrize(
-    "argv, dim",
-    [
-        (["kms-check", "--preset", "cycle:5", "--cutoff", "12", "--beta", "3"], 11250001),
-        # verify builds its basis at min(cutoff, 4)
-        (["verify", "--config", str(DATA / "cycle5_scale62.json"), "--cutoff", "4"], 1009261),
-    ],
-)
-def test_basis_size_guard_fails_fast(capsys, argv, dim):
+def test_basis_size_guard_fails_fast(capsys):
+    # verify builds its basis at min(cutoff, 4); kms-check and gibbs build none
     start = time.perf_counter()
+    argv = ["verify", "--config", str(DATA / "cycle5_scale62.json"), "--cutoff", "4"]
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5
     assert code == cli.EXIT_COMPUTATION
     assert out == ""
-    assert f"basis dimension {dim} exceeds the limit {growth.MAX_BASIS_DIM}" in err
+    assert f"basis dimension 1009261 exceeds the limit {growth.MAX_BASIS_DIM}" in err
 
 
 @pytest.mark.parametrize(
@@ -513,24 +508,104 @@ def test_count_step_guard_admits_its_limit(capsys, monkeypatch, preset, cutoff):
 def test_kms_sample_guard_fails_fast(capsys):
     argv = ["kms-check", "--preset", "free:2", "--cutoff", "4", "--beta", "3"]
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv, "--samples", "100000")
+    code, out, err = run_cli(capsys, *argv, "--samples", str(10**12))
     assert time.perf_counter() - start < 5
     assert (code, out) == (cli.EXIT_COMPUTATION, "")
-    assert (f"--samples 100000 at basis dimension 31 costs {100000 * 1031} "
-            f"(samples * (dimension + 1000)), past the limit {cli.MAX_KMS_WORK}") in err
-    # the default 20 samples pass at every basis the dimension guard admits
-    assert 20 * (growth.MAX_BASIS_DIM + 1000) <= cli.MAX_KMS_WORK
+    assert f"--samples {10**12} is past the limit {cli.MAX_KMS_WORK}" in err
 
 
 def test_kms_sample_guard_admits_its_limit(capsys, monkeypatch):
     argv = ["kms-check", "--preset", "path:3", "--cutoff", "2", "--beta", "3", "--samples", "3"]
-    work = 3 * (1 + 3 + 7 + 1000)  # path:3 has 1, 3 and 7 traces of weight 0, 1 and 2
-    monkeypatch.setattr(cli, "MAX_KMS_WORK", work)
+    monkeypatch.setattr(cli, "MAX_KMS_WORK", 3)
     assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
-    monkeypatch.setattr(cli, "MAX_KMS_WORK", work - 1)
+    monkeypatch.setattr(cli, "MAX_KMS_WORK", 2)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (cli.EXIT_COMPUTATION, "")
-    assert f"costs {work} (samples * (dimension + 1000)), past the limit {work - 1}" in err
+    assert "--samples 3 is past the limit 2" in err
+
+
+def test_kms_check_runs_its_sample_limit_in_seconds(capsys):
+    # the costliest kms-check input of tools/cli_digest.py: a degree-1164 clique
+    # polynomial whose Gibbs tail is bounded once per distinct level and beta
+    start = time.perf_counter()
+    code, _, _ = run_cli(
+        capsys, "kms-check", "--config", str(DATA / "cycle5_scale582.json"), "--cutoff", "3",
+        "--beta", "6", "--samples", str(cli.MAX_KMS_WORK),
+    )
+    assert code == cli.EXIT_OK
+    assert time.perf_counter() - start < 10
+
+
+def test_kms_pool_guard_fails_fast(capsys):
+    # 1,002 units e, a1, ..., a1001 of which every product of two weighs <= 2
+    start = time.perf_counter()
+    argv = ["kms-check", "--preset", "free:1001", "--cutoff", "2", "--beta", "9"]
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert f"{1002**2} pool products exceed the limit {growth.MAX_BASIS_DIM}" in err
+
+
+def test_kms_pool_guard_admits_its_limit(capsys, monkeypatch):
+    # path:3 at W = 2: each of e, a, b, c times each of them weighs <= 2
+    argv = ["kms-check", "--preset", "path:3", "--cutoff", "2", "--beta", "3"]
+    monkeypatch.setattr(cli, "MAX_BASIS_DIM", 16)
+    assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+    monkeypatch.setattr(cli, "MAX_BASIS_DIM", 15)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert "16 pool products exceed the limit 15" in err
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (["--preset", "path:3", "--cutoff", "18", "--beta", "3"], 5),  # a basis of 1,048,555
+        (["--preset", "cycle:4", "--cutoff", "15", "--beta", "3"], 0.5),
+        (["--config", str(DATA / "cycle5_scale582.json"), "--cutoff", "3", "--beta", "6"], 5),
+    ],
+)
+def test_kms_check_builds_no_basis(capsys, monkeypatch, argv, most):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(fock, "build_rep", refuse)
+    monkeypatch.setattr(growth, "_enumerate", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "kms-check", *argv)
+    assert time.perf_counter() - start < most
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 21
+
+
+@pytest.mark.parametrize(
+    "preset, cutoff", [("path:3", 7), ("free:2", 7), ("cycle:4", 6), ("cycle:5", 4)]
+)
+def test_kms_check_matches_the_truncated_representation(capsys, preset, cutoff):
+    # the rep is an independent oracle: kms_numeric_check on its maps gives the
+    # residual and bound that kms-check reads off the counts
+    rep = fock.build_rep(preset_graph(preset), cutoff)
+    beta = 1.5 * rep.thermo().beta_c
+    code, out, _ = run_cli(
+        capsys, "kms-check", "--preset", preset, "--cutoff", str(cutoff), "--beta", repr(beta),
+        "--format", "json",
+    )
+    assert code == 0
+    pool, rng = [t for t in rep.basis if t.length <= 2], random.Random(2024)
+    for row in json.loads(out)["results"]:  # the same draw: the identity and a letter may both print e
+        p1, q1, p2, q2 = (rng.choice(pool) for _ in range(4))
+        assert row["monomials"] == [t.serialize() for t in (p1, q1, p2, q2)]
+        want = fock.kms_numeric_check(rep, (p1, q1), (p2, q2), beta)
+        assert abs(row["residual"] - want.residual) <= 1e-15
+        assert math.isclose(row["bound"], want.bound, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("preset", ["free:2", "path:3", "cycle:4", "cycle:5"])
+@pytest.mark.parametrize("beta", ["710", "800"])
+def test_kms_check_exits_on_a_twist_past_float_range(capsys, preset, beta):
+    code, out, err = run_cli(capsys, "kms-check", "--preset", preset, "--cutoff", "3", "--beta", beta)
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert f"the twist overflows float range at beta = {beta}" in err
 
 
 @settings(deadline=None, max_examples=40)

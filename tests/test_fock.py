@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qlo.fock
+import qlo.thermo
 from qlo import (
     ComputationError,
     MismatchedGraphError,
@@ -105,22 +106,6 @@ def test_build_rep_dimensions():
     assert build_rep(make_free2(), 2).dim == 7
     assert build_rep(make_path3(), 2).dim == 11
     assert build_rep(make_free3(), 0).dim == 1
-
-
-def test_build_rep_takes_a_thermo_context():
-    g = make_path3()
-    ctx = ThermoContext(g)
-    assert build_rep(g, 2, thermo=ctx).thermo() is ctx
-    assert build_rep(g, 2).thermo() is not ctx
-    with pytest.raises(MismatchedGraphError):
-        build_rep(make_free2(), 2, thermo=ctx)
-
-
-def test_truncated_rep_checks_its_thermo_context():
-    ctx = ThermoContext(make_free2())
-    with pytest.raises(MismatchedGraphError):
-        TruncatedRep(make_path3(), 3, thermo=ctx)
-    assert TruncatedRep(make_free2(), 3, thermo=ctx).thermo() is ctx  # an equal graph
 
 
 @pytest.mark.parametrize("make", [enumerate_up_to, TruncatedRep, build_rep])
@@ -576,13 +561,13 @@ def test_kms_numeric_bound_reuses_an_equal_tail(monkeypatch):
     rep = build_rep(g, 7)
     beta = 1.5 * rep.thermo().beta_c
     pool = [t for t in rep.basis if t.length <= 2]
-    real_tail, calls = qlo.fock.tail_mass, []
+    real_tail, calls = qlo.thermo.tail_mass, []
 
     def counted(*args, **kwargs):
         calls.append(kwargs["up_to"])
         return real_tail(*args, **kwargs)
 
-    monkeypatch.setattr(qlo.fock, "tail_mass", counted)
+    monkeypatch.setattr(qlo.thermo, "tail_mass", counted)
     seen = set()
     for p1, q1, p2, q2 in itertools.product(pool[:5], repeat=4):
         calls.clear()
@@ -695,6 +680,43 @@ def test_gibbs_floats_equal_their_reference_loops(graph, halves, factor, rng):
         z = sum(weights)
         assert report.psi_ab == _fixed_point_mass_by_enumerate(a, b, weights) / z
         assert report.psi_ba == _fixed_point_mass_by_enumerate(b, a, weights) / z
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    weighted_graphs(min_letters=1, max_letters=4),
+    st.integers(0, 12),
+    st.floats(1.05, 3.0),
+    st.randoms(use_true_random=False),
+)
+def test_kms_closed_form_matches_the_representation(graph, halves, factor, rng):
+    """The twisted-trace masses kms-check takes from growth counts give the psi
+    values and bounds of kms_numeric_check on the representation's maps, to
+    1e-12 relative, and its zeros exactly; Z_W is the truncated partition
+    function bit for bit.  Half the pairs meet, as (p, r), (r, p) always do."""
+    rep = build_rep(graph, largest_cutoff(graph, Fraction(halves, 2), 300))
+    ctx = rep.thermo()
+    beta = factor * (ctx.beta_c or 0.5)  # beta_c is 0 on one letter
+    sums = qlo.thermo._level_sums(ctx, beta, rep.cutoff)
+    assert sums[-1] == partition_function(ctx, beta, "truncated", cutoff=rep.cutoff)
+    for _ in range(8):
+        p, r = rng.choice(rep.basis), rng.choice(rep.basis)
+        for pair1, pair2 in (((p, r), (r, p)), ((p, rng.choice(rep.basis)), (rng.choice(rep.basis), r))):
+            want = kms_numeric_check(rep, pair1, pair2, beta)
+            masses = qlo.thermo._twisted_masses(sums, pair1, pair2, beta)
+            got = qlo.thermo._kms_report(ctx, pair1, pair2, beta, rep.cutoff, *masses, sums[-1])
+            for field in ("psi_ab", "psi_ba", "bound"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert (g == 0.0) == (w == 0.0), (field, pair1, pair2)
+                assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (field, pair1, pair2)
+
+
+def test_kms_numeric_refuses_a_twist_past_float_range():
+    g = preset_graph("cycle:4")
+    rep = build_rep(g, 2)
+    e, a = g.identity(), g.gen("a")
+    with pytest.raises(ComputationError, match="the twist overflows float range at beta = 800"):
+        kms_numeric_check(rep, (e, a), (a, e), 800.0)
 
 
 def test_kms_numeric_requires_supercritical_beta():

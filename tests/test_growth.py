@@ -179,7 +179,7 @@ def test_one_graph_runs_the_growth_count_once(monkeypatch):
     assert verify_inversion(graph, 6).match
     ctx = ThermoContext(graph)
     assert _table_view(ctx.growth(6)) == _table_view(table)
-    assert build_rep(graph, 5, thermo=ctx).dim == ctx.growth(5).total() == 2**7 - 8
+    assert build_rep(graph, 5).dim == ctx.growth(5).total() == 2**7 - 8
     assert runs == [6]
 
 

@@ -376,6 +376,17 @@ def test_tail_mass_keeps_its_beta_free_terms_per_cutoff_and_level():
     assert sorted(ctx._tails) == [(2, -1), (2, 2), (3, Fraction(13, 7)), (3, Fraction(5, 2)), (3, 3)]
 
 
+def test_tail_mass_bounds_each_level_and_beta_once(monkeypatch):
+    """A repeated call returns the kept float and bounds nothing again."""
+    ctx = ThermoContext(many_term_graph(1))
+    beta = 1.5 * ctx.beta_c
+    first = tail_mass(ctx, beta, 3, Fraction(5, 2))
+    monkeypatch.setattr(qlo.thermo, "_upper", None)  # bounding now would raise TypeError
+    assert tail_mass(ctx, beta, 3, Fraction(5, 2)) is first
+    with pytest.raises(TypeError):
+        tail_mass(ctx, 2 * beta, 3, Fraction(5, 2))
+
+
 def test_partition_consistency_with_enumeration():
     g = make_path3()
     ctx = ThermoContext(g)
