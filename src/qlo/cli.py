@@ -31,6 +31,7 @@ EXIT_COMPUTATION = 4
 EXIT_VERIFICATION = 5
 
 MAX_KMS_WORK = 50_000  # most samples one kms-check draws: about 2 s on the presets
+MAX_KMS_TAILS = 20_000  # most distinct Gibbs tails x scaled degree of Q: about 2 s at degree 9,996
 
 
 class ConfigError(ValueError):
@@ -278,14 +279,17 @@ def _cmd_kms_check(args):
         raise ComputationError(f"{sum(heads)} pool products exceed the limit {MAX_BASIS_DIM}")
     products = {u._masks: u for s, k in zip(units, heads) for u in (multiply(s, t) for t in units[:k])}
     pool = sorted(products.values(), key=lambda t: (t._w, t.serialize()))  # Trace.sort_key's order
-    sums = thermo._level_sums(ctx, beta, cutoff)
     rng = random.Random(20_24)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(2 * samples)]
+    tails, degree = len({max(p._w - q._w, 0) for p, q in pairs}), len(ctx._coeffs) - 1
+    if tails * degree > MAX_KMS_TAILS:
+        raise ComputationError(f"{tails} Gibbs tails x degree {degree} is past the limit {MAX_KMS_TAILS}")
+    sums = thermo._level_sums(ctx, beta, cutoff)
     rows = []
-    for _ in range(samples):
-        p1, q1, p2, q2 = (rng.choice(pool) for _ in range(4))
-        masses = thermo._twisted_masses(sums, (p1, q1), (p2, q2), beta)
-        report = thermo._kms_report(ctx, (p1, q1), (p2, q2), beta, cutoff, *masses, sums[-1])
-        rows.append(([t.serialize() for t in (p1, q1, p2, q2)], report))
+    for pair1, pair2 in zip(pairs[::2], pairs[1::2]):
+        masses = thermo._twisted_masses(sums, pair1, pair2, beta)
+        report = thermo._kms_report(ctx, pair1, pair2, beta, cutoff, *masses, sums[-1])
+        rows.append(([t.serialize() for t in (*pair1, *pair2)], report))
     failures = sum(not r.ok for _, r in rows)
     csv_lines = ["sample,p1,q1,p2,q2,residual,bound,ok"] + [
         ",".join([str(k), *monomials, _fmt(r.residual), _fmt(r.bound), str(int(r.ok))])

@@ -11,9 +11,10 @@ up a block, and p composes the maps of its blocks, as v_p v_q = v_pq.
 Composition is indexing, L L^* is the diagonal of preimage counts and a range
 projection is an image set, so the projection identities hold exactly in
 integers at every finite W (the vacuum's given injective generator maps).
-``SparseOperator`` (dict-of-entries, never dense) is the public type and,
-through its matmul, the independent oracle for those maps.  Floating point
-enters only through the density exp(-beta*H) and the Gibbs/twisted-trace
+``SparseOperator``, never dense, is the public type: a 0/1 partial map for a
+translation or range projection (entries built on first read), entries for
+the rest; through its matmul, the independent oracle for those maps.  Floats
+enter only through the density exp(-beta*H) and the Gibbs/twisted-trace
 numerics, whose truncation error is controlled by an exact tail bound.
 ``kms_numeric_check``, which sums over the rows these maps fix, is the oracle
 of the closed form on growth counts that ``thermo`` gives `kms-check`.
@@ -56,9 +57,11 @@ class OperatorIdentityError(RuntimeError):
 
 
 class SparseOperator:
-    """Immutable sparse matrix with one entry per (row, column)."""
+    """Immutable sparse matrix: a 0/1 partial map, 1 at each (rows[i], cols[i]),
+    for translations and range projections, or a dict of nonzero entries for
+    the rest.  A map builds its `entries` dict on first read and keeps it."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "_entries", "_map")
 
     def __init__(self, dim, entries):
         cleaned = {}
@@ -67,15 +70,20 @@ class SparseOperator:
                 raise ValueError(f"entry ({r}, {c}) outside dimension {dim}")
             if v != 0:
                 cleaned[(r, c)] = v
-        self.dim = dim
-        self.entries = cleaned
+        self.dim, self._entries, self._map = dim, cleaned, None
 
     @classmethod
-    def _unchecked(cls, dim, entries):
-        """Operator on nonzero entries that the caller has bounded by dim."""
+    def _partial_map(cls, dim, rows, cols):
+        """0/1 operator on distinct (row, col) pairs that the caller has bounded by dim."""
         op = cls.__new__(cls)
-        op.dim, op.entries = dim, entries
+        op.dim, op._entries, op._map = dim, None, (rows, cols)
         return op
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = dict.fromkeys(zip(*self._map), 1)
+        return self._entries
 
     @classmethod
     def identity(cls, dim):
@@ -169,6 +177,8 @@ class TruncatedRep:
 
     def index_of(self, trace):
         """Row of the trace, or None when it lies outside the basis."""
+        if trace.graph is not self.graph:
+            _check_same_graph(self, trace)
         child, n, row = self._rows.child, len(self.graph.generators), 0
         for m in trace._masks:
             row = child.get((row << n) | m)
@@ -236,12 +246,13 @@ def _block_map(rep, s):
 def left_op(rep, p):
     """Truncated left translation by p: basis vector at x goes to p*x."""
     ell = _left_map(rep, p)
-    return SparseOperator._unchecked(rep.dim, dict.fromkeys(zip(ell, range(len(ell))), 1))
+    return SparseOperator._partial_map(rep.dim, ell, range(len(ell)))
 
 
 def range_projection(rep, p):
     """Diagonal 0/1 projection onto the left multiples of p: the image of L_p."""
-    return SparseOperator._unchecked(rep.dim, {(r, r): 1 for r in _left_map(rep, p)})
+    image = _left_map(rep, p)
+    return SparseOperator._partial_map(rep.dim, image, image)
 
 
 def nica_check(rep, p, q):
@@ -258,11 +269,11 @@ def vacuum_projection(rep):
     alternating clique sum, each L L^* being its map's preimage counts.  A
     generator map that repeats a row raises, so the product is the indicator
     of the rows outside the generators' images; the clique sum is delta_0
-    when the even cliques' counts equal the odd ones' plus 1 at row 0.  Only
-    cliques of weight <= W are listed, as a heavier one's map is empty.  Each
-    clique's map is its own pass over the trie, apart from the generator maps;
-    test_range_projection_matches_word_search_oracle and
-    test_left_map_matches_multiply_oracle check both against L1.
+    when the even cliques' image rows, sorted as a multiset, equal the odd
+    ones' and row 0.  Only cliques of weight <= W are listed, as a heavier
+    one's map is empty.  Each clique's map is its own pass over the trie,
+    apart from the generator maps; test_range_projection_matches_word_search_oracle
+    and test_left_map_matches_multiply_oracle check both against L1.
     """
     graph, covered = rep.graph, set()
     for s in graph.generators:
@@ -270,12 +281,13 @@ def vacuum_projection(rep):
         if len(set(ell)) != len(ell):
             raise OperatorIdentityError(f"vacuum projection: the map of {s} is not injective")
         covered.update(ell)
-    plus, minus = Counter(), Counter({0: 1})  # even and odd cliques; delta_0 on the odd side
+    plus, minus = [], [0]  # even and odd cliques' image rows; delta_0 on the odd side
     for block in _cliques(graph, rep._top):
-        (minus if block.bit_count() & 1 else plus).update(
+        (minus if block.bit_count() & 1 else plus).extend(
             _left_map(rep, graph.trace(_letters(graph, block)))
         )
-    if 0 in covered or len(covered) != rep.dim - 1 or not dict.__eq__(plus, minus):
+    if 0 in covered or len(covered) != rep.dim - 1 or sorted(plus) != sorted(minus):
+        plus, minus = Counter(plus), Counter(minus)
         agree = all(plus[r] - minus[r] + (r == 0) == (r not in covered) for r in range(rep.dim))
         raise OperatorIdentityError(
             "vacuum projection is not the rank-one projection at the identity" if agree
@@ -288,7 +300,7 @@ def density(rep, beta):
     """Diagonal operator with entries exp(-beta * weight(x))."""
     if not 0 <= beta < math.inf:
         raise ValueError("beta must be finite and nonnegative")
-    return SparseOperator.diagonal(_density_values(rep, beta))
+    return SparseOperator.diagonal(_density_values(rep, beta)[0])
 
 
 def evolution_unitary(rep, t):
@@ -300,11 +312,13 @@ def evolution_unitary(rep, t):
 
 
 def _density_values(rep, beta):
+    """exp(-beta * w(x)) for each row and their sum Z_W, kept per beta."""
     cached = rep._density_cache.get(beta)
     if cached is None:
         d, weights = rep.graph.scale, rep._rows.weights[: rep.dim]
         level = {w: math.exp(-beta * (w / d)) for w in dict.fromkeys(weights)}
-        cached = rep._density_cache[beta] = list(map(level.__getitem__, weights))
+        values = list(map(level.__getitem__, weights))
+        cached = rep._density_cache[beta] = values, sum(values)
     return cached
 
 
@@ -314,8 +328,10 @@ def gibbs_numeric(rep, op, beta):
         raise ComputationError("gibbs evaluation needs a finite beta > 0")
     if op.dim != rep.dim:
         raise ValueError("operator dimension does not match the basis")
-    weights = _density_values(rep, beta)
-    return sum([v * weights[r] for (r, c), v in op.entries.items() if r == c]) / sum(weights)
+    weights, z = _density_values(rep, beta)
+    if op._map is not None and op._map[0] is op._map[1]:  # a range projection: the image is
+        return sum(map(weights.__getitem__, op._map[0])) / z  # its diagonal, in entries order
+    return sum([v * weights[r] for (r, c), v in op.entries.items() if r == c]) / z
 
 
 def dynamics_factor(p, q, z):
@@ -337,9 +353,9 @@ def kms_numeric_check(rep, pair1, pair2, beta):
     if not ctx.beta_c < beta < math.inf:
         raise ComputationError(f"tail bound needs a finite beta > beta_c = {ctx.beta_c:.12g}")
     a_map, b_map = _monomial_map(rep, *pair1), _monomial_map(rep, *pair2)
-    weights = _density_values(rep, beta)
+    weights, z = _density_values(rep, beta)
     masses = _fixed_point_mass(a_map, b_map, weights), _fixed_point_mass(b_map, a_map, weights)
-    return _kms_report(ctx, pair1, pair2, beta, rep.cutoff, *masses, sum(weights))
+    return _kms_report(ctx, pair1, pair2, beta, rep.cutoff, *masses, z)
 
 
 def _monomial_map(rep, p, q):

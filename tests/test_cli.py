@@ -536,6 +536,49 @@ def test_kms_check_runs_its_sample_limit_in_seconds(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_kms_tail_guard_fails_fast(capsys, tmp_path):
+    # the 5-cycle {1/2499, 1/2, 1, 1, 1}: a degree-9,996 clique polynomial whose
+    # every distinct Gibbs tail takes about 0.7 s to bound; 20 samples meet 7 tails
+    config = MonoidConfig(
+        generators=list(zip("abcde", map(Fraction, ("1/2499", "1/2", 1, 1, 1)))),
+        commuting_pairs=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+    )
+    path = tmp_path / "cycle5_scale4998.json"
+    path.write_text(emit_config(config))
+    argv = ["kms-check", "--config", str(path), "--cutoff", "2", "--beta", "8"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--samples", "20")
+    assert time.perf_counter() - start < 5  # 5.3 s to exit 0 before the guard
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert f"7 Gibbs tails x degree 9996 is past the limit {cli.MAX_KMS_TAILS}" in err
+    code, out, _ = run_cli(capsys, *argv, "--samples", "1")  # one tail is admitted
+    assert code == cli.EXIT_OK and len(out.splitlines()) == 2
+
+
+def test_kms_tail_guard_admits_its_limit(capsys, monkeypatch):
+    graph = preset_graph("path:4")
+    argv = ["kms-check", "--preset", "path:4", "--cutoff", "3", "--beta", "3", "--samples", "8",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == cli.EXIT_OK
+    # the distinct weight gains of the drawn monomials, each one Gibbs tail
+    weight = {t.serialize(): t.weight for t in growth.enumerate_up_to(graph, 3)}
+    gains = {
+        max(weight[p] - weight[q], 0)
+        for row in json.loads(out)["results"]
+        for p, q in (row["monomials"][:2], row["monomials"][2:])
+    }
+    poly = growth.clique_polynomial(graph)
+    work = len(gains) * int(poly.degree * poly.scale)
+    assert len(gains) >= 2
+    monkeypatch.setattr(cli, "MAX_KMS_TAILS", work)
+    assert run_cli(capsys, *argv) == (cli.EXIT_OK, out, "")
+    monkeypatch.setattr(cli, "MAX_KMS_TAILS", work - 1)
+    code, refused, err = run_cli(capsys, *argv)
+    assert (code, refused) == (cli.EXIT_COMPUTATION, "")
+    assert f"{len(gains)} Gibbs tails x degree {work // len(gains)} is past the limit {work - 1}" in err
+
+
 def test_kms_pool_guard_fails_fast(capsys):
     # 1,002 units e, a1, ..., a1001 of which every product of two weighs <= 2
     start = time.perf_counter()

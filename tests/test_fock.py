@@ -1,9 +1,11 @@
 """Truncated representation: operator identities, Gibbs numerics, tail bounds."""
 
 import cmath
+import copy
 import gc
 import itertools
 import math
+import pickle
 import random
 import sys
 import time
@@ -292,6 +294,13 @@ def test_index_of_is_none_outside_the_basis():
     assert rep.index_of(normalize(make_path3(), "ab")) == longer.index(normalize(graph, "ab"))
 
 
+def test_index_of_checks_the_trace_graph():
+    rep = build_rep(make_path3(), 3)
+    with pytest.raises(MismatchedGraphError):
+        rep.index_of(preset_graph("cycle:4").gen("a"))  # row 1 when the graph went unchecked
+    assert rep.index_of(make_path3().gen("b")) == rep.index_of(rep.graph.gen("b"))  # an equal graph
+
+
 def test_basis_is_the_enumeration_built_once(monkeypatch):
     graph = make_cycle5()
     built = []
@@ -333,6 +342,57 @@ def test_left_op_times_adjoint_is_range_projection():
         for x in enumerate_up_to(g, 2):
             ell = left_op(rep, x)
             assert ell @ ell.adjoint() == range_projection(rep, x)
+
+
+def _dict_form(op):
+    """The same operator held as a dict of entries."""
+    return SparseOperator(op.dim, op.entries)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    weighted_graphs(min_letters=1, max_letters=4),
+    st.integers(0, 10),
+    st.floats(0.2, 3.0),
+    st.randoms(use_true_random=False),
+)
+def test_map_form_behaves_as_its_entries(graph, halves, beta, rng):
+    """left_op and range_projection hold a partial map.  Each method, called on
+    a fresh one whose entries were never read, gives what the same operator
+    held as entries gives, and the entries come in the same order; a Gibbs
+    value is the same float and equals the reference loop at two betas."""
+    rep = build_rep(graph, largest_cutoff(graph, Fraction(halves, 2), 200))
+    heavy = normalize(graph, graph.generators[0] * (2 * math.floor(rep.cutoff) + 3))
+    pool = [t for t in rep.basis if t.length <= 2] + [heavy]
+    for _ in range(3):
+        p, q = rng.choice(pool), rng.choice(pool)
+        others = [left_op(rep, q), range_projection(rep, q)]
+        others += [_dict_form(o) for o in others] + [SparseOperator.identity(rep.dim)]
+        for make in (left_op, range_projection):
+            want = _dict_form(make(rep, p))
+            op = make(rep, p)
+            assert list(op.entries.items()) == list(want.entries.items())
+            assert op.entries is op.entries  # built on the first read and kept
+            assert make(rep, p).adjoint() == want.adjoint()
+            for other in others:
+                assert make(rep, p) @ other == want @ other
+                assert other @ make(rep, p) == other @ want
+                assert make(rep, p) + other == want + other
+                assert make(rep, p) - other == want - other
+            assert make(rep, p) * 3 == want * 3 and 2 * make(rep, p) == 2 * want
+            assert make(rep, p) == want and want == make(rep, p)
+            assert (make(rep, p) == others[0]) == (want == others[0])
+            assert make(rep, p).trace() == want.trace()
+            assert list(make(rep, p).diagonal_entries()) == list(want.diagonal_entries())
+            assert make(rep, p).is_zero() == want.is_zero()
+            assert repr(make(rep, p)) == repr(want)
+            for kept in (copy.copy(make(rep, p)), copy.deepcopy(make(rep, p)),
+                         pickle.loads(pickle.dumps(make(rep, p)))):
+                assert kept == want and kept.dim == want.dim
+                assert gibbs_numeric(rep, kept, beta) == gibbs_numeric(rep, want, beta)
+            for b in (beta, 2 * beta):
+                got = gibbs_numeric(rep, make(rep, p), b)
+                assert got == gibbs_numeric(rep, want, b) == _gibbs_by_generator(rep, want, b)
 
 
 # -- covariance and vacuum identities -----------------------------------------------
@@ -419,6 +479,34 @@ def test_vacuum_projection_refuses_a_generator_map_that_repeats_a_row(monkeypatc
         monkeypatch.setattr(qlo.fock, "_left_map", faulty_left_map)
         with pytest.raises(OperatorIdentityError, match=message):
             vacuum_projection(build_rep(g, 3))
+        monkeypatch.undo()
+
+
+def test_vacuum_projection_counts_each_row_of_each_clique(monkeypatch):
+    """The clique sum compares the image rows as multisets: a two-letter
+    clique map that drops or repeats a row, with every row still present
+    somewhere, makes it disagree with the product form; a generator map that
+    drops a row moves both forms off the identity together."""
+    real_left_map = qlo.fock._left_map
+    drop = lambda ell: ell[:1] + ell[2:]
+    repeat = lambda ell: ell + ell[1:2]
+    cases = []
+    for make in (make_abelian2, make_path3, lambda: preset_graph("cycle:4")):
+        g = make()
+        pairs = [b for b in qlo.fock._cliques(g, build_rep(g, 3)._top) if b.bit_count() == 2]
+        assert pairs
+        cases += [(make, (b,), fault, "product form and clique sum disagree")
+                  for b in pairs for fault in (drop, repeat)]
+    cases += [(make_free2, make_free2().gen(s)._masks, drop, "not the rank-one projection")
+              for s in "ab"]
+    for make, masks, fault, message in cases:
+        def faulty_left_map(rep, p):
+            ell = real_left_map(rep, p)
+            return fault(ell) if p._masks == masks else ell
+
+        monkeypatch.setattr(qlo.fock, "_left_map", faulty_left_map)
+        with pytest.raises(OperatorIdentityError, match=message):
+            vacuum_projection(build_rep(make(), 3))
         monkeypatch.undo()
 
 
@@ -575,7 +663,7 @@ def test_kms_numeric_bound_reuses_an_equal_tail(monkeypatch):
         gain_b = max(p2.weight - q2.weight, Fraction(0))
         gain_a = max(p1.weight - q1.weight, Fraction(0))
         tails = [real_tail(rep.thermo(), beta, rep.cutoff, up_to=rep.cutoff - gain) for gain in (gain_b, gain_a)]
-        want = (tails[0] + report.twist * tails[1]) / sum(qlo.fock._density_values(rep, beta)) + 1e-12
+        want = (tails[0] + report.twist * tails[1]) / sum(qlo.fock._density_values(rep, beta)[0]) + 1e-12
         assert report.bound == want, (p1, q1, p2, q2)
         assert len(calls) == (1 if gain_a == gain_b else 2)
         seen.add(gain_a == gain_b)
