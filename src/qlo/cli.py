@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import thermo
-from .growth import MAX_BASIS_DIM, clique_polynomial, growth_table, invert_series
+from .growth import MAX_BASIS_DIM, _top_level, clique_polynomial, growth_table, invert_series
 from .monoid import GraphError, build_graph, multiply
 from .presets import preset_graph
 from .thermo import ComputationError, ThermoContext
@@ -238,6 +238,7 @@ def _cmd_gibbs(args):
     graph = _graph_from_args(args)
     beta = _finite(args.beta, "--beta")
     cutoff = _nonnegative(args.cutoff, "--cutoff")
+    _top_level(cutoff, graph.scale)  # the level limit, before any root is isolated
     ctx = _context_above_beta_c(graph, beta)
     z_closed = thermo.partition_function(ctx, beta)
     z_trunc = thermo.partition_function(ctx, beta, "truncated", cutoff=cutoff)
@@ -269,14 +270,14 @@ def _cmd_kms_check(args):
         raise ConfigError("--samples must be at least 1")
     if samples > MAX_KMS_WORK:
         raise ComputationError(f"--samples {samples} is past the limit {MAX_KMS_WORK}")
-    ctx = _context_above_beta_c(graph, beta)
     # the pool, the basis traces of at most 2 letters in basis order: the products
     # s*t of e and the letters, each s with the prefix by weight that keeps s*t in W
     units = sorted([graph.identity(), *map(graph.gen, graph.generators)], key=lambda t: t._w)
-    top = math.floor(cutoff * graph.scale)
+    top = _top_level(cutoff, graph.scale)
     heads = [bisect_right(units, top - s._w, key=lambda t: t._w) for s in units]
     if sum(heads) > MAX_BASIS_DIM:
         raise ComputationError(f"{sum(heads)} pool products exceed the limit {MAX_BASIS_DIM}")
+    ctx = _context_above_beta_c(graph, beta)  # isolates roots, so after the size limits
     products = {u._masks: u for s, k in zip(units, heads) for u in (multiply(s, t) for t in units[:k])}
     pool = sorted(products.values(), key=lambda t: (t._w, t.serialize()))  # Trace.sort_key's order
     rng = random.Random(20_24)

@@ -279,7 +279,8 @@ class Trace:
         return self.graph is other.graph or self.graph == other.graph
 
     def __hash__(self):
-        return hash(self._masks)
+        # ints hash mod 2**61 - 1, where bits 61 apart agree; 2 is a primitive root mod 2**61 - 2373
+        return hash(tuple([m % (2**61 - 2373) for m in self._masks]))
 
     def __repr__(self):
         return f"Trace({self.serialize()!r})"

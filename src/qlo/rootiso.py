@@ -15,6 +15,9 @@ on the float terms propose the node, and the exact signs at its two ends
 certify it, a zero there being the root itself.  Floats never decide a sign.
 Where the signs do not certify the node, or a coefficient has no float, one
 exact sign per level finds it instead, so the nodes are the same either way.
+Isolation and refinement share this one node search: `refine` takes a root
+to the bracket its bisection stops at from the node at the deepest level
+that bisection can reach, reading the stop off the node's ancestors.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "halvings",
     "IsolatedRoot",
     "roots_in_unit_interval",
+    "refine",
 ]
 
 
@@ -121,40 +125,11 @@ def halvings(coeffs, lo, hi):
     """Yield an isolating interval [lo, hi], then its successive halves, as
     integer triples (lo_num, hi_num, den) over a denominator that doubles at
     each step; one exact sign per halving, and a root hit at a dyadic point
-    ends it with lo_num == hi_num."""
+    ends it with lo_num == hi_num.  The bisection reference that tests hold
+    `refine` to; isolation and refinement themselves search nodes."""
     den = lcm(lo.denominator, hi.denominator)
     ln, hn = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     return _halvings(_terms(coeffs), ln, hn, den)
-
-
-def _certified_halvings(coeffs, lo, hi, wide, most):
-    """The triples `halvings(coeffs, lo, hi)` yields up to the first on which
-    `wide(ln, hn)` fails, or its first most + 1, from one certified node.
-    [lo, hi] is a dyadic node with lo > 0, and on nodes (hn = ln + 1) `wide`
-    fails from some ln on.  k halvings down, ln is at least lo's numerator
-    << k, so the first k where `wide` fails there is the deepest level the
-    halvings can reach.  `_certified_node` gives the node at that level, and
-    the triples are its ancestors, down to a dyadic root that the halvings
-    would meet.  None where [lo, hi] is no such node or the node is not
-    certified."""
-    den = lcm(lo.denominator, hi.denominator)
-    ln, hn = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    if not (ln and hn == ln + 1 and den & (den - 1) == 0):
-        return None
-    top = next((k for k in range(most) if not wide(ln << k, (ln << k) + 1)), max(most, 0))
-    if not top:
-        return [(ln, hn, den)]
-    node = _certified_node(_terms(coeffs), ln, hn, den, den.bit_length() - 1 + top)
-    if node is None:
-        return None
-    a, b = node
-    steps = []
-    for k in range(top, -1, -1):  # the ancestor of the node k levels up
-        n = a >> k
-        if a == b and n << k == a:  # the halving that meets a dyadic root
-            return steps + [(n, n, den << (top - k))]
-        steps.append((n, n + 1, den << (top - k)))
-    return steps
 
 
 # A root of one level is a tuple (ln, hn, den, multiplicity, f): [ln/den,
@@ -320,19 +295,22 @@ def _walk(f, ln, hn, den, level):
     return a, a + 1
 
 
+def _locate(f, ln, hn, den, level):
+    """The one node search: `_certified_node`, or `_walk` where that declines."""
+    return _certified_node(f, ln, hn, den, level) or _walk(f, ln, hn, den, level)
+
+
 def _node(root, level):
     """The root on the dyadic node of this level that holds it; a root at a
-    dyadic of this level or above comes back exact.  `_certified_node` finds
-    the node from a float proposal and two exact signs, and `_walk` finds it
-    by one exact sign per level where that declines, so floats never decide
-    a sign.  An exact root at a node end is divided out."""
+    dyadic of this level or above comes back exact (`_locate`).  An exact
+    root at a node end is divided out."""
     ln, hn, den, mult, f = root
     if ln == hn:  # exact: its linear factor
         f = _terms(_primitive([-ln, den]))
         a, rem = divmod(ln << level, den)
         a, b = (a, a) if rem == 0 else (a, a + 1)
     else:
-        a, b = _certified_node(f, ln, hn, den, level) or _walk(f, ln, hn, den, level)
+        a, b = _locate(f, ln, hn, den, level)
     lo, hi = Fraction(a, 1 << level), Fraction(b, 1 << level)
     if a == b:
         return IsolatedRoot(lo, lo, mult, (-lo.numerator, lo.denominator))
@@ -378,3 +356,26 @@ def roots_in_unit_interval(coeffs):
         level += 10
         if level > limit:
             raise ArithmeticError(f"roots still share a node at level {level}")
+
+
+def refine(root, wide, most):
+    """The first of `halvings(root.factor, root.lo, root.hi)` on which
+    wide(ln, hn) fails, or the dyadic root they meet, within most halvings
+    (at least 0), as (lo, hi); else ArithmeticError.  root.lo > 0, and on
+    nodes [n, n + 1] `wide` fails from some n on: k halvings down, ln is at
+    least lo's numerator << k, so the first k where `wide` fails there
+    bounds their depth, and they are the ancestors of the node there."""
+    if root.exact:
+        return root.lo, root.hi
+    den = max(root.lo.denominator, root.hi.denominator)
+    ln, most = root.lo.numerator * (den // root.lo.denominator), max(most, 0)
+    top = next((k for k in range(most) if not wide(ln << k, (ln << k) + 1)), most)
+    level = den.bit_length() - 1 + top
+    a, b = _locate(_terms(root.factor), ln, ln + 1, den, level) if top else (ln, ln + 1)
+    for k in range(top, -1, -1):  # the ancestor k levels up, top - k halvings down
+        n, d = a >> k, den << (top - k)
+        if a == b and n << k == a:  # the halving that meets a dyadic root
+            return Fraction(n, d), Fraction(n, d)
+        if not wide(n, n + 1):
+            return Fraction(n, d), Fraction(n + 1, d)
+    raise ArithmeticError(f"root not refined in {most} halvings")

@@ -4,10 +4,10 @@ The growth series of the monoid, evaluated at t = exp(-beta), is the
 partition function; its abscissa of convergence beta_c is -log of the
 smallest root of the clique polynomial in (0, 1].  Roots are isolated with
 exact integer signs on the rescaled exponent lattice (`rootiso`) and refined
-to the bracket an integer bisection stops at, reached from one node that a
-float proposes and exact signs certify, so beta_c = 0 is returned exactly
-(never as a small float) and the smallest-root claim is certified by the
-isolation itself.
+to the bracket an integer bisection stops at, both by rootiso's one node
+search (a float proposal that exact signs certify), so beta_c = 0 is
+returned exactly (never as a small float) and the smallest-root claim is
+certified by the isolation itself.
 Equilibrium values on starred monomials are evaluated symbolically in the
 exponent, which makes the twisted-trace identity an exact, beta-independent
 check.  Its sides are decided in ``monoid`` on block masks and scaled integer
@@ -124,30 +124,16 @@ def _refine_root(ctx, root, tol):
 
     The bracket is the one a bisection stops at: it halves until its
     numerators have d * ((hn - ln) / ln) <= tol / 2, or meet at a dyadic
-    root.  `rootiso._certified_halvings` gives those halvings from one node
-    that a float proposes and two exact signs certify, at the level where
-    the rule holds at the latest, and the rule runs on its ancestors as it
-    would on the halvings.  Where the node is not certified, the halvings of
-    `rootiso.halvings` take one exact sign each.  Floats never decide a
-    sign, so the bracket is the same either way.
+    root, within `limit` halvings.  `rootiso.refine` reads that stop off the
+    ancestors of one node, from the same node search as the isolation, so
+    the bracket takes no exact sign per halving.
     """
     if (root, tol) not in ctx._refined:
         d = ctx.clique_poly.scale
         # the window starts at most tol/2 * ratio and halves; 2 steps cover rounding
-        ratio = 0 if root.exact else 2 * d * (root.hi - root.lo) / (root.lo * Fraction(tol))
+        ratio = 2 * d * (root.hi - root.lo) / (root.lo * Fraction(tol))
         limit = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 2
-
-        def wide(ln, hn):
-            return ln != hn and d * ((hn - ln) / ln) > tol / 2
-
-        coeffs = list(root.factor)
-        steps = rootiso._certified_halvings(coeffs, root.lo, root.hi, wide, limit)
-        for step, (ln, hn, den) in enumerate(steps or rootiso.halvings(coeffs, root.lo, root.hi)):
-            if not wide(ln, hn):
-                ctx._refined[root, tol] = Fraction(ln, den), Fraction(hn, den)
-                break
-            if step >= limit:
-                raise ArithmeticError(f"root not refined to tol {tol} in {limit} halvings")
+        ctx._refined[root, tol] = rootiso.refine(root, lambda ln, hn: d * ((hn - ln) / ln) > tol / 2, limit)
     return ctx._refined[root, tol]
 
 

@@ -8,8 +8,9 @@ enumeration (``bfs_traces_up_to``), factorization search for divisibility
 the cliques that may follow each one (``successors_by_pair_scan``),
 rational Horner evaluation for polynomial signs (``fraction_horner``),
 bisection on Fraction endpoints for root refinement
-(``fraction_halvings``), Sturm sequences of the squarefree part for root
-counts and multiplicities (``fraction_sturm_count``,
+(``fraction_halvings``), the refinement's stop rule over the integer
+bisection (``reference_refine``), Sturm sequences of the squarefree part for
+root counts and multiplicities (``fraction_sturm_count``,
 ``fraction_multiplicity``), the closed-form weight counts of path:3 for its
 growth-series tail (``path3_relative_tail``), the dense convolution and
 per-coefficient powers for the Gibbs tail bound (``reference_tail_mass``),
@@ -32,7 +33,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from qlo import ComputationError, Trace, build_graph, growth_table, multiply
+from qlo import ComputationError, Trace, build_graph, growth_table, multiply, rootiso
 from qlo.thermo import _exp_bracket
 
 
@@ -303,6 +304,20 @@ def fraction_halvings(coeffs, lo, hi):
         else:
             hi = mid
         yield lo, hi
+
+
+def reference_refine(root, scale, tol):
+    """The bracket ``thermo._refine_root`` must return, by the bisection of
+    ``rootiso.halvings`` with one exact sign per halving: the first bracket
+    with scale * ((hn - ln) / ln) <= tol / 2, or a dyadic root met, within
+    the halvings that the tol's window needs plus 2, else ArithmeticError."""
+    ratio = 0 if root.exact else 2 * scale * (root.hi - root.lo) / (root.lo * Fraction(tol))
+    limit = ratio.numerator.bit_length() - ratio.denominator.bit_length() + 2
+    for step, (ln, hn, den) in enumerate(rootiso.halvings(list(root.factor), root.lo, root.hi)):
+        if not (ln != hn and scale * ((hn - ln) / ln) > tol / 2):
+            return Fraction(ln, den), Fraction(hn, den)
+        if step >= limit:
+            raise ArithmeticError(f"root not refined to tol {tol} in {limit} halvings")
 
 
 def _fraction_trim(coeffs):

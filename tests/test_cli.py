@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qlo import (
-    INFINITY, ThermoContext, build_graph, cli, fock, growth, join, normalize, oracles, preset_graph,
+    INFINITY, ThermoContext, build_graph, cli, fock, growth, join, normalize, oracles, preset_graph, rootiso,
 )
 from qlo.growth import MAX_LEVELS
 from qlo.cli import (
@@ -598,6 +598,36 @@ def test_kms_pool_guard_admits_its_limit(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (cli.EXIT_COMPUTATION, "")
     assert "16 pool products exceed the limit 15" in err
+
+
+class _Isolated(Exception):
+    """Raised by a stand-in for the root isolation, to show that it ran."""
+
+
+@pytest.mark.parametrize("command", ["gibbs", "kms-check"])
+def test_limits_are_checked_before_roots_are_isolated(capsys, monkeypatch, tmp_path, command):
+    # the 5-cycle {1/4997, 1/2, 1, 1, 1}: its degree-19,988 clique polynomial
+    # takes seconds to isolate, and W = 2 is 19,988 scaled weight levels
+    def isolate(coeffs):
+        raise _Isolated
+
+    monkeypatch.setattr(rootiso, "roots_in_unit_interval", isolate)
+    config = MonoidConfig(
+        generators=list(zip("abcde", map(Fraction, ("1/4997", "1/2", 1, 1, 1)))),
+        commuting_pairs=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+    )
+    path = tmp_path / "cycle5_scale9994.json"
+    path.write_text(emit_config(config))
+    argv = [command, "--config", str(path), "--beta", "8"]
+    code, out, err = run_cli(capsys, *argv, "--cutoff", "2")
+    assert (code, out) == (cli.EXIT_COMPUTATION, "")
+    assert f"19988 scaled weight levels exceed the limit {MAX_LEVELS}" in err
+    with pytest.raises(_Isolated):  # the most levels admitted reach the isolation
+        cli.main([*argv, "--cutoff", f"{MAX_LEVELS}/9994"])
+    if command == "kms-check":
+        code, out, err = run_cli(capsys, "kms-check", "--preset", "free:1001", "--cutoff", "2", "--beta", "9")
+        assert (code, out) == (cli.EXIT_COMPUTATION, "")
+        assert f"{1002**2} pool products exceed the limit {growth.MAX_BASIS_DIM}" in err
 
 
 @pytest.mark.parametrize(

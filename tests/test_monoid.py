@@ -21,6 +21,7 @@ from qlo import (
     min_letters,
     multiply,
     normalize,
+    preset_graph,
     wick,
 )
 from qlo import monoid, oracles
@@ -434,6 +435,14 @@ def test_generators_out_of_alphabetical_order():
     twin = normalize(build_graph("cba", 1, [("a", "b")]), "ba")
     assert twin == ab and hash(twin) == hash(ab)
     assert multiply(ab, twin).serialize() == "b.a|b.a"
+
+
+def test_trace_hashes_spread_over_letters_61_bits_apart():
+    # an int hashes to itself mod 2**61 - 1, so bare masks give the 90,000
+    # two-letter traces of free:300 only 61**2 = 3,721 hashes
+    g = preset_graph("free:300")
+    letters = [g.gen(s) for s in g.generators]
+    assert len({hash(multiply(s, t)) for s in letters for t in letters}) >= 89_000
 
 
 # -- block kernels against letter-by-letter references --------------------------

@@ -9,13 +9,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlo import ThermoContext, clique_polynomial, clique_roots_in_unit_interval, rootiso
-from qlo.thermo import _refine_root
+from qlo import ThermoContext, clique_polynomial, clique_roots_in_unit_interval, rootiso, thermo
 from conftest import (
     fraction_halvings,
     fraction_horner,
     fraction_multiplicity,
     fraction_sturm_count,
+    reference_refine,
     weighted_graphs,
 )
 
@@ -304,10 +304,12 @@ TOLS = (1e-2, 1e-6, 1e-9, 1e-12, 1e-14)  # at 1e-2 a level-20 node is already na
 
 @contextlib.contextmanager
 def _declined():
-    """Every float proposal declined: nodes and brackets from one exact sign
-    per bit, the reference the certified nodes must reproduce."""
+    """Every float proposal declined, so nodes come from one exact sign per
+    bit, and every refinement from `reference_refine`'s bisection: the
+    reference the certified nodes and `rootiso.refine` must reproduce."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rootiso, "_certified_node", lambda *args: None)
+        mp.setattr(thermo, "_refine_root", lambda ctx, r, tol: reference_refine(r, ctx.clique_poly.scale, tol))
         yield
 
 
@@ -341,7 +343,7 @@ def _refinements(p, scale, k):
     ctx = SimpleNamespace(clique_poly=SimpleNamespace(scale=scale), _refined={})
     roots = rootiso.roots_in_unit_interval(p)
     tols = [*TOLS, *(tol for r in roots for tol in _edge_tols(r, scale, k))]
-    return roots, [_outcome(lambda: _refine_root(ctx, r, tol)) for tol in tols for r in roots]
+    return roots, [_outcome(lambda: thermo._refine_root(ctx, r, tol)) for tol in tols for r in roots]
 
 
 # roots a/b: dyadic (b a power of two, some past the level-20 nodes), small,
@@ -414,3 +416,38 @@ def test_a_certified_node_takes_two_exact_signs(monkeypatch):
     monkeypatch.setattr(rootiso, "_sign", lambda *args: signs.append(args) or real(*args))
     assert [rootiso._certified_node(f, 1, 2, 2, level) for level in (20, 45)] == walked
     assert len(signs) == 4  # one at each end of each node
+
+
+def _halving(root, k):
+    """The bracket of `rootiso.halvings` k halvings below the root's node, or
+    the dyadic root they meet before."""
+    *_, (ln, hn, den) = itertools.islice(rootiso.halvings(list(root.factor), root.lo, root.hi), k + 1)
+    return Fraction(ln, den), Fraction(hn, den)
+
+
+def test_refine_stops_within_most_halvings_and_at_a_dyadic_root():
+    (third,) = rootiso.roots_in_unit_interval([-1, 3])  # on a level-20 node
+    ln = third.lo.numerator * (2**20 // third.lo.denominator)
+
+    def wide_above(j):  # fails on nodes j halvings below the root's, first
+        return lambda a, b: a < ln << j
+
+    for j in (0, 1, 7):
+        assert rootiso.refine(third, wide_above(j), j) == _halving(third, j)
+        assert rootiso.refine(third, wide_above(j), j + 3) == _halving(third, j)
+        with pytest.raises(ArithmeticError):
+            rootiso.refine(third, wide_above(j + 1), j)
+    for most in (-9, -1, 0, 5):
+        with pytest.raises(ArithmeticError):
+            rootiso.refine(third, lambda a, b: True, most)
+    assert rootiso.refine(third, wide_above(0), -9) == (third.lo, third.hi)  # most < 0 is 0
+
+    # (2**24 + 1) / 2**25, met 5 halvings below its level-20 node, where the
+    # node [2**24 + 1, 2**24 + 2] / 2**25 is no longer wide: the meet wins
+    (near,) = rootiso.roots_in_unit_interval([-(2**24 + 1), 2**25])
+    dyadic = Fraction(2**24 + 1, 2**25)
+    assert not near.exact and _halving(near, 5) == (dyadic, dyadic)
+    assert rootiso.refine(near, lambda a, b: a < 2**24 + 1, 30) == (dyadic, dyadic)
+    assert rootiso.refine(near, lambda a, b: True, 5) == (dyadic, dyadic)
+    with pytest.raises(ArithmeticError):
+        rootiso.refine(near, lambda a, b: True, 4)

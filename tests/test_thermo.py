@@ -168,18 +168,6 @@ def test_roots_report_reuses_the_refined_smallest_root():
     assert len(cache.stored) == 2 * len(ctx._roots) - 1  # a new tol refines every root
 
 
-def test_a_stuck_bisection_fails_the_refinement(monkeypatch):
-    def stuck(coeffs, lo, hi):
-        while True:
-            yield lo.numerator, hi.numerator, lo.denominator
-
-    ctx = ThermoContext(NAMED_GRAPHS["cycle5"]())
-    monkeypatch.setattr(rootiso, "_certified_node", lambda *args: None)  # no float proposal
-    monkeypatch.setattr(rootiso, "halvings", stuck)
-    with pytest.raises(ArithmeticError):
-        clique_roots_in_unit_interval(ctx, ctx.tol / 4)
-
-
 def test_refining_a_root_takes_two_exact_signs(monkeypatch):
     ctx = ThermoContext(NAMED_GRAPHS["cycle5"]())
     signs, real = [], rootiso._sign
