@@ -215,11 +215,6 @@ class GrowthTable:
     def max_weight(self):
         return self._series.degree
 
-    def truncated_sum(self, beta):
-        """Sum of n * exp(-beta*w) over all rows."""
-        d = self._series.scale
-        return sum(_times_exp(n, -beta * (k / d)) for k, n in enumerate(self._series._coeffs) if n)
-
     def __len__(self):
         return len(self._series._coeffs) - self._series._coeffs.count(0)
 

@@ -315,8 +315,9 @@ def _node(root, level):
     if a == b:
         return IsolatedRoot(lo, lo, mult, (-lo.numerator, lo.denominator))
     factor = _dense(f)
+    # f's one root in [ln, hn] / den is not a node end (a != b), so only an end outside is checked
     for end in (lo, hi):
-        while sign_at(factor, end) == 0:
+        while not ln <= end * den <= hn and sign_at(factor, end) == 0:
             factor = _deflate(factor, end)
     return IsolatedRoot(lo, hi, mult, tuple(factor))
 

@@ -198,7 +198,9 @@ def clique_roots_in_unit_interval(ctx, tol):
     for root in ctx._roots:
         lo, hi = _refine_root(ctx, root, tol)
         t_lo, t_hi = lo**d, hi**d
-        est = RootEstimate(float((t_lo + t_hi) / 2), root.multiplicity, lo == hi, t_lo, t_hi)
+        (n1, d1), (n2, d2) = t_lo.as_integer_ratio(), t_hi.as_integer_ratio()
+        value = (n1 * d2 + n2 * d1) / (2 * d1 * d2)  # float((t_lo + t_hi) / 2) without a gcd
+        est = RootEstimate(value, root.multiplicity, lo == hi, t_lo, t_hi)
         if merged and est.value - merged[-1].value < 2 * tol:
             prev = merged[-1]
             merged[-1] = replace(
@@ -234,7 +236,7 @@ def partition_function(ctx, beta, method="closed", cutoff=None):
             raise ValueError("truncated method requires a cutoff")
         if not 0 < beta < math.inf:
             raise ComputationError("truncated sum needs a finite beta > 0")
-        return ctx.growth(cutoff).truncated_sum(beta)
+        return _level_sums(ctx, beta, cutoff)[-1]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -299,8 +301,9 @@ def _tail_terms(ctx, cutoff, bound):
 
 
 def _level_sums(ctx, beta, cutoff):
-    """Z_V at each scaled level V up to W, as running sums of the terms that
-    GrowthTable.truncated_sum adds, so the last is Z_W (Z_V = 0 below level 0)."""
+    """Z_V at each scaled level V up to W, as running sums of the growth terms
+    n * exp(-beta*w), so the last is Z_W (Z_V = 0 below level 0).  The one Z_W
+    loop: the truncated partition function is its last sum, bit for bit."""
     s, d = ctx.growth(cutoff)._series, ctx.graph.scale
     sums = list(accumulate(n and _times_exp(n, -beta * (k / s.scale)) for k, n in enumerate(s._coeffs)))
     return [sums[min(k * s.scale // d, len(sums) - 1)] for k in range(_top_level(cutoff, d) + 1)]

@@ -363,7 +363,7 @@ def test_verify_runs_just_under_its_work_limit(capsys):
     for argv, work in [
         # 4,681 traces of weight <= 4, the longest a|a|a|a: 117,025, just under the limit
         (["--preset", "free:8", "--cutoff", "4"], 25 * 4681 + 4**2 // 50),
-        # 442 traces, the longest 291 blocks: the costliest verify of tools/cli_digest.py
+        # 442 traces, the longest 291 blocks: the costliest verify of tools/digest.py
         (["--config", str(DATA / "cycle5_scale582.json"), "--cutoff", "1"], 25 * 442 + 291**2 // 50),
     ]:
         assert work <= oracles.MAX_VERIFY_WORK
@@ -525,7 +525,7 @@ def test_kms_sample_guard_admits_its_limit(capsys, monkeypatch):
 
 
 def test_kms_check_runs_its_sample_limit_in_seconds(capsys):
-    # the costliest kms-check input of tools/cli_digest.py: a degree-1164 clique
+    # the costliest kms-check input of tools/digest.py: a degree-1164 clique
     # polynomial whose Gibbs tail is bounded once per distinct level and beta
     start = time.perf_counter()
     code, _, _ = run_cli(

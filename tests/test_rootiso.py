@@ -418,6 +418,19 @@ def test_a_certified_node_takes_two_exact_signs(monkeypatch):
     assert len(signs) == 4  # one at each end of each node
 
 
+def test_a_node_checks_again_only_the_ends_outside_its_bracket(monkeypatch):
+    # the search decides the signs at a node's ends inside the bracket; an end
+    # outside it may hold a neighbouring exact root, which is divided out
+    f, signs = rootiso._terms([-1, 0, 3]), []
+    real = rootiso._sign
+    monkeypatch.setattr(rootiso, "_sign", lambda *args: signs.append(args) or real(*args))
+    for bracket, level, outside in (((1, 2, 2), 20, 0), ((9, 10, 16), 1, 2)):
+        signs.clear()
+        node = rootiso._node((*bracket, 1, f), level)
+        assert node.hi - node.lo == Fraction(1, 2**level) and node.factor == (-1, 0, 3)
+        assert len(signs) == 2 + outside  # two certify the node
+
+
 def _halving(root, k):
     """The bracket of `rootiso.halvings` k halvings below the root's node, or
     the dyadic root they meet before."""

@@ -186,6 +186,10 @@ def test_beta_c_at_scale_1994():
     assert ctx.clique_poly.scale == 1994
     assert ctx.beta_c == 5.860491855692413
     assert time.perf_counter() - start < 10
+    # t_lo and t_hi carry 1994 times the bits of a root's bracket; the report
+    # takes their midpoint by one integer division, and it is the same float
+    report = clique_roots_in_unit_interval(ctx, 1e-12)
+    assert report.roots and all(r.value == float((r.t_lo + r.t_hi) / 2) for r in report.roots)
 
 
 def test_many_term_clique_polynomial_roots():
