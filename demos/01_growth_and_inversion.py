@@ -23,7 +23,7 @@ graph = build_graph("abc", 1, [("a", "b"), ("b", "c")])
 
 print("elements of weight <= 2, in canonical order:")
 for t in enumerate_up_to(graph, 2):
-    print("   ", t.serialize())
+    print("   ", t.serialize() or "(the identity, the empty word)")
 
 table = growth_table(graph, 10)
 print("\ncounts per weight level (transfer dynamic program):")

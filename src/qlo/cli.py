@@ -289,7 +289,7 @@ def _cmd_kms_check(args):
     rows = []
     for pair1, pair2 in zip(pairs[::2], pairs[1::2]):
         masses = thermo._twisted_masses(sums, pair1, pair2, beta)
-        report = thermo._kms_report(ctx, pair1, pair2, beta, cutoff, *masses, sums[-1])
+        report = thermo._kms_report(ctx, pair1, pair2, beta, cutoff, top, *masses, sums[-1])
         rows.append(([t.serialize() for t in (*pair1, *pair2)], report))
     failures = sum(not r.ok for _, r in rows)
     csv_lines = ["sample,p1,q1,p2,q2,residual,bound,ok"] + [

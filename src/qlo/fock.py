@@ -355,7 +355,7 @@ def kms_numeric_check(rep, pair1, pair2, beta):
     a_map, b_map = _monomial_map(rep, *pair1), _monomial_map(rep, *pair2)
     weights, z = _density_values(rep, beta)
     masses = _fixed_point_mass(a_map, b_map, weights), _fixed_point_mass(b_map, a_map, weights)
-    return _kms_report(ctx, pair1, pair2, beta, rep.cutoff, *masses, z)
+    return _kms_report(ctx, pair1, pair2, beta, rep.cutoff, rep._top, *masses, z)
 
 
 def _monomial_map(rep, p, q):

@@ -307,11 +307,11 @@ _Basis = namedtuple("_Basis", "top weights parents lasts child")
 def _basis(graph, cutoff):
     """(the graph's enumeration, number of its rows of weight <= cutoff),
     enumerating again only for a cutoff above the longest one it holds.  An
-    enumeration counted (by growth table) past MAX_BASIS_DIM raises
+    enumeration counted (by `_levels`) past MAX_BASIS_DIM raises
     ComputationError instead of being made."""
     top = _top_level(cutoff, graph.scale)
     if graph._basis is None or graph._basis.top < top:
-        dim = growth_table(graph, cutoff).total()
+        dim = sum(_levels(graph, top))
         if dim > MAX_BASIS_DIM:
             # no int-to-str limit is below 640 digits, so a longer count is shown by its bits
             shown = dim if dim < 10**600 else f"at least 2^{dim.bit_length() - 1}"
@@ -379,12 +379,17 @@ def growth_table(graph, cutoff):
     The graph keeps the longest count list made so far: a cutoff at or below
     it is served by truncating that list, and only a larger one counts again."""
     cutoff = Fraction(cutoff)
-    top = _top_level(cutoff, graph.scale)
+    table = GrowthTable.__new__(GrowthTable)
+    table._series, table.cutoff = _poly(_levels(graph, _top_level(cutoff, graph.scale)), graph.scale), cutoff
+    return table
+
+
+def _levels(graph, top):
+    """Element counts at the scaled levels 0..top (top >= -1), a fresh list cut
+    from the longest count list the graph keeps; only a larger top counts again."""
     if graph._counts is None or len(graph._counts) <= top:
         graph._counts = _count(graph, top)
-    table = GrowthTable.__new__(GrowthTable)
-    table._series, table.cutoff = _poly(graph._counts[: top + 1], graph.scale), cutoff
-    return table
+    return graph._counts[: top + 1]
 
 
 def _count(graph, top):

@@ -263,7 +263,7 @@ class Trace:
 
     def serialize(self):
         if not self._masks:
-            return "e"
+            return ""  # the empty word; no generator name is empty
         return "|".join(".".join(part) for part in self.key)
 
     def sort_key(self):

@@ -328,7 +328,7 @@ def roots_in_unit_interval(coeffs):
     Roots at 0 are excluded by convention (strip x factors); a root at 1 is
     returned with the exact interval [1, 1].  Each other root sits on the
     level-20 dyadic node that holds it, or on its level-30, 40, ... node while
-    two roots share a node; a dyadic root met on the way is returned exact.
+    two roots share a node or one starts at 0; a dyadic root met is exact.
     """
     p = _terms(coeffs)
     if not p:
@@ -346,13 +346,14 @@ def roots_in_unit_interval(coeffs):
     while tower:
         found = _rolle(tower.pop(), found)
     # a node narrower than the least distance of two roots holds one root, and
-    # Rump (1979) bounds that by 2*sqrt(2) / (n**(n/2 + 2) * (|p|_1 + 1)**n)
+    # Rump (1979) bounds that by 2*sqrt(2) / (n**(n/2 + 2) * (|p|_1 + 1)**n);
+    # p(0) != 0, so each root is at least 1 / (|p|_1 + 1) and its node starts above 0 by then
     n = p[-1][0]
     limit = 20 + n * (n.bit_length() + (sum(abs(c) for _, c in p) + 1).bit_length())
     level = 20
     while True:
         roots = sorted((_node(r, level) for r in found), key=lambda r: (r.lo, r.hi))
-        if all(a.hi <= b.lo for a, b in zip(roots, roots[1:])):
+        if all(a.hi <= b.lo for a, b in zip(roots, roots[1:])) and (not roots or roots[0].lo > 0):
             return roots
         level += 10
         if level > limit:

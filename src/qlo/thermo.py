@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from . import rootiso
-from .growth import ComputationError, _times_exp, _top_level, clique_polynomial, growth_table
+from .growth import ComputationError, _levels, _times_exp, _top_level, clique_polynomial, growth_table
 from .monoid import _check_same_graph, _twisted_weight
 
 __all__ = [
@@ -88,10 +88,11 @@ class ThermoContext:
         self.clique_poly = clique_polynomial(graph)
         self.eta = graph.min_weight
         self._coeffs = self.clique_poly.integer_coefficients()
+        self._neg_q = [(k, -c) for k, c in enumerate(self._coeffs) if c]  # for the Gibbs tails
         self._roots = rootiso.roots_in_unit_interval(self._coeffs)
         self.tol = tol
         self._refined = {}  # (isolated root, tol) -> refined (lo, hi)
-        self._tails = {}  # (cutoff, up_to) -> tail_mass's ((d, top, -Q terms, S terms), {beta: bound})
+        self._tails = {}  # level M = floor(V*scale) -> the tail's (S's nonzero terms, {beta: bound})
         self.beta_c = beta_critical(self, tol)
 
     def growth(self, cutoff):
@@ -251,29 +252,39 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     x is bracketed by rationals, R and Q are bounded on the bracket exactly,
     and the result is rounded up, never below the exact tail.  R and Q are
     kept as nonzero terms, R's convolved from Q's, and bounded by `rootiso`'s
-    sparse Horner.  The table is computed at `cutoff`; V defaults to it.
-    None of d, M and the nonzero terms of Q and R depends on beta, so the
-    context keeps them per (cutoff, V), and a later call at any beta only
-    bounds them there; the bound it returns at a beta is kept with them.
+    sparse Horner.  V defaults to the cutoff, and counts run to the larger.
+    The bound depends on M alone (M < 0 is the whole Z), so the context keeps
+    R's beta-free terms per M, and with them the bound at each beta.
     """
     if not beta > ctx.beta_c:
         raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
     cutoff = Fraction(cutoff)
     bound = cutoff if up_to is None else Fraction(up_to)
-    key = cutoff, bound
-    if key not in ctx._tails:
-        ctx._tails[key] = _tail_terms(ctx, cutoff, bound), {}
-    (d, top, neg_q, s), bounds = ctx._tails[key]
+    _levels(ctx.graph, _top_level(max(cutoff, bound), ctx.graph.scale))  # counting there applies its limits
+    return _tail(ctx, beta, math.floor(bound * ctx.graph.scale))
+
+
+def _tail(ctx, beta, level):
+    """`tail_mass` above the scaled weight level M = max(level, -1), for beta > beta_c."""
+    top = max(level, -1)
+    if top not in ctx._tails:
+        # Q is on the counts' lattice (1/scale)*Z: for each prime power exactly dividing the scale, no
+        # clique of 2+ letters weighs as a lightest letter whose denominator holds it, so Q's term is not 0.
+        # R(x) = x**(top+1) * S(x): R's coefficient r at degree t is S's term (t - top - 1, r)
+        a, neg_q, s = _levels(ctx.graph, top), ctx._neg_q, []
+        for t in range(top + 1, top + 1 + neg_q[-1][0]):
+            r = int(t == 0) + sum([c * a[t - k] for k, c in neg_q if t - top <= k <= t])
+            if r:
+                s.append((t - top - 1, r))
+        ctx._tails[top] = s, {}
+    s, bounds = ctx._tails[top]
     if beta in bounds:
         return bounds[beta]
-    lo, hi = _exp_bracket(-beta / d)
+    lo, hi = _exp_bracket(-beta / ctx.graph.scale)
     s_num, s_den = _upper(s, lo, hi)
-    q_num, q_den = _upper(neg_q, lo, hi)  # -(a lower bound of Q)
+    q_num, q_den = _upper(ctx._neg_q, lo, hi)  # -(a lower bound of Q)
     if q_num >= 0:
-        raise ComputationError(
-            "clique polynomial not certified positive here; beta is too "
-            "close to beta_c"
-        )
+        raise ComputationError("clique polynomial not certified positive here; beta is too close to beta_c")
     num = hi[0] ** (top + 1) * s_num * q_den
     den = hi[1] ** (top + 1) * s_den * -q_num
     value = num / den
@@ -284,29 +295,12 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     return value
 
 
-def _tail_terms(ctx, cutoff, bound):
-    """(d, M, -Q's nonzero terms, S's nonzero terms) of `tail_mass` at V = bound."""
-    # Q and the growth counts as integer lists on one lattice (1/d)*Z
-    d, q, a = ctx.clique_poly._common(ctx.growth(max(cutoff, bound))._series)
-    top = max(math.floor(bound * d), -1)
-    a = a[: top + 1] + [0] * (top + 1 - len(a))
-    q = [(k, c) for k, c in enumerate(q) if c]
-    # R(x) = x**(top+1) * S(x); S's terms (m, r) hold R's coefficients from degree top+1
-    s = []
-    for m in range(q[-1][0]):
-        r = int(top + 1 + m == 0) - sum([c * a[top + 1 + m - k] for k, c in q if m < k <= m + top + 1])
-        if r:
-            s.append((m, r))
-    return d, top, [(k, -c) for k, c in q], s
-
-
 def _level_sums(ctx, beta, cutoff):
     """Z_V at each scaled level V up to W, as running sums of the growth terms
     n * exp(-beta*w), so the last is Z_W (Z_V = 0 below level 0).  The one Z_W
     loop: the truncated partition function is its last sum, bit for bit."""
-    s, d = ctx.growth(cutoff)._series, ctx.graph.scale
-    sums = list(accumulate(n and _times_exp(n, -beta * (k / s.scale)) for k, n in enumerate(s._coeffs)))
-    return [sums[min(k * s.scale // d, len(sums) - 1)] for k in range(_top_level(cutoff, d) + 1)]
+    counts, d = _levels(ctx.graph, _top_level(cutoff, ctx.graph.scale)), ctx.graph.scale
+    return list(accumulate(n and _times_exp(n, -beta * (k / d)) for k, n in enumerate(counts)))
 
 
 def _twisted_masses(sums, pair1, pair2, beta):
@@ -438,22 +432,22 @@ class KmsNumericReport:
         return self.residual <= self.bound
 
 
-def _kms_report(ctx, pair1, pair2, beta, cutoff, mass_ab, mass_ba, z_trunc):
+def _kms_report(ctx, pair1, pair2, beta, cutoff, top, mass_ab, mass_ba, z_trunc):
     """Residual |psi(AB) - twist * psi(BA)| of A = L_p1 L_q1^*, B = L_p2 L_q2^*,
     psi being the masses Tr(.. rho)_W over Z_W, and its bound (tail(W - dB) +
     twist * tail(W - dA)) / Z_W + KMS_SLACK (room for the rounding of the float
-    sums), dA and dB the weight gains of A and B: rigorous for beta above the
+    sums), dA and dB the weight gains of A and B, at the levels top - gain of
+    scaled ints (top = floor(W*scale)): rigorous for the caller's beta above the
     critical value.  A twist past float range raises ComputationError."""
     (p1, q1), (p2, q2) = pair1, pair2
     try:
-        twist = math.exp(-beta * float(p1.weight - q1.weight))
+        twist = math.exp(-beta * ((p1._w - q1._w) / p1.graph._scale))
     except OverflowError:
         raise ComputationError(f"the twist overflows float range at beta = {beta:.15g}") from None
     psi_ab, psi_ba = mass_ab / z_trunc, mass_ba / z_trunc
-    gain_b = max(p2.weight - q2.weight, Fraction(0))
-    gain_a = max(p1.weight - q1.weight, Fraction(0))
-    tail_b = tail_mass(ctx, beta, cutoff, up_to=cutoff - gain_b)
-    tail_a = tail_b if gain_a == gain_b else tail_mass(ctx, beta, cutoff, up_to=cutoff - gain_a)
+    gain_b, gain_a = max(p2._w - q2._w, 0), max(p1._w - q1._w, 0)
+    tail_b = _tail(ctx, beta, top - gain_b)
+    tail_a = tail_b if gain_a == gain_b else _tail(ctx, beta, top - gain_a)
     bound = (tail_b + twist * tail_a) / z_trunc + KMS_SLACK
     return KmsNumericReport(abs(psi_ab - twist * psi_ba), bound, psi_ab, psi_ba, twist, beta, cutoff)
 

@@ -665,7 +665,7 @@ def test_kms_check_matches_the_truncated_representation(capsys, preset, cutoff):
     )
     assert code == 0
     pool, rng = [t for t in rep.basis if t.length <= 2], random.Random(2024)
-    for row in json.loads(out)["results"]:  # the same draw: the identity and a letter may both print e
+    for row in json.loads(out)["results"]:  # the same draw, each trace by its own string
         p1, q1, p2, q2 = (rng.choice(pool) for _ in range(4))
         assert row["monomials"] == [t.serialize() for t in (p1, q1, p2, q2)]
         want = fock.kms_numeric_check(rep, (p1, q1), (p2, q2), beta)

@@ -158,7 +158,7 @@ def test_left_op_examples():
     assert left_op(rep, g.identity()) == SparseOperator.identity(rep.dim)
     la = left_op(rep, g.gen("a"))
     idx = {t.serialize(): i for i, t in enumerate(rep.basis)}
-    assert la.entries == {(idx["a"], idx["e"]): 1}  # a, b overflow the cutoff
+    assert la.entries == {(idx["a"], idx[""]): 1}  # a, b overflow the cutoff
 
 
 def test_left_op_is_partial_isometry():
@@ -644,28 +644,29 @@ def test_kms_numeric_random_monomials_within_bound():
 
 def test_kms_numeric_bound_reuses_an_equal_tail(monkeypatch):
     """When both gains are equal the tail is computed once; the bound is
-    bit-identical to the sum of two tail_mass calls."""
+    bit-identical to the sum of two public tail_mass calls at W - gain."""
     g = make_path3()
     rep = build_rep(g, 7)
     beta = 1.5 * rep.thermo().beta_c
     pool = [t for t in rep.basis if t.length <= 2]
-    real_tail, calls = qlo.thermo.tail_mass, []
+    real_tail, real_level_tail, calls = qlo.thermo.tail_mass, qlo.thermo._tail, []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["up_to"])
-        return real_tail(*args, **kwargs)
+    def counted(ctx, beta, level):
+        calls.append(level)
+        return real_level_tail(ctx, beta, level)
 
-    monkeypatch.setattr(qlo.thermo, "tail_mass", counted)
+    monkeypatch.setattr(qlo.thermo, "_tail", counted)
     seen = set()
     for p1, q1, p2, q2 in itertools.product(pool[:5], repeat=4):
         calls.clear()
         report = kms_numeric_check(rep, (p1, q1), (p2, q2), beta)
+        computed = len(calls)
         gain_b = max(p2.weight - q2.weight, Fraction(0))
         gain_a = max(p1.weight - q1.weight, Fraction(0))
         tails = [real_tail(rep.thermo(), beta, rep.cutoff, up_to=rep.cutoff - gain) for gain in (gain_b, gain_a)]
         want = (tails[0] + report.twist * tails[1]) / sum(qlo.fock._density_values(rep, beta)[0]) + 1e-12
         assert report.bound == want, (p1, q1, p2, q2)
-        assert len(calls) == (1 if gain_a == gain_b else 2)
+        assert computed == (1 if gain_a == gain_b else 2)
         seen.add(gain_a == gain_b)
     assert seen == {True, False}
 
@@ -792,7 +793,7 @@ def test_kms_closed_form_matches_the_representation(graph, halves, factor, rng):
         for pair1, pair2 in (((p, r), (r, p)), ((p, rng.choice(rep.basis)), (rng.choice(rep.basis), r))):
             want = kms_numeric_check(rep, pair1, pair2, beta)
             masses = qlo.thermo._twisted_masses(sums, pair1, pair2, beta)
-            got = qlo.thermo._kms_report(ctx, pair1, pair2, beta, rep.cutoff, *masses, sums[-1])
+            got = qlo.thermo._kms_report(ctx, pair1, pair2, beta, rep.cutoff, rep._top, *masses, sums[-1])
             for field in ("psi_ab", "psi_ba", "bound"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert (g == 0.0) == (w == 0.0), (field, pair1, pair2)

@@ -52,7 +52,7 @@ def test_enumerate_spec_counts():
     assert len(enumerate_up_to(make_free2(), 2)) == 7
     assert len(enumerate_up_to(make_path3(), 2)) == 11
     only_identity = enumerate_up_to(make_free3(), 0)
-    assert [t.serialize() for t in only_identity] == ["e"]
+    assert [t.serialize() for t in only_identity] == [""]
 
 
 def test_enumerate_matches_bfs_oracle():
@@ -297,6 +297,19 @@ def test_clique_polynomial_matches_subset_scan():
     for seed in (1, 2, 3):
         g = random_graph(6, seed=seed, edge_probability=0.5)
         assert clique_polynomial(g).terms == reference_clique_terms(g)
+
+
+# a, b, c commute pairwise: Q's t^(3/4) term cancels (b against {a, c}), its t^(1/4) term does not
+@example(build_graph("abc", {"a": Fraction(1, 4), "b": Fraction(3, 4), "c": Fraction(1, 2)},
+                     [("a", "b"), ("a", "c"), ("b", "c")]))
+@settings(deadline=None, max_examples=200)
+@given(weighted_graphs(min_letters=1, max_letters=6, denominators=(1, 2, 3, 4, 5, 6, 8, 9, 12)))
+def test_clique_polynomial_lies_on_the_graph_lattice(graph):
+    """Q.scale is the graph's scale, so the Gibbs tails of ``thermo`` read Q's
+    coefficients and the growth counts on one lattice: for each prime power
+    exactly dividing the scale, no clique of two or more letters weighs as
+    much as a lightest letter whose denominator holds it."""
+    assert clique_polynomial(graph).scale == graph.scale
 
 
 def test_clique_polynomial_reads_the_walk_weights():

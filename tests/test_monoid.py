@@ -412,7 +412,9 @@ def test_trace_serialization_is_stable(path3):
     # b commutes past c, a is blocked by c: cba = bca with blocks {b,c} then {a}
     assert normalize(path3, "cba").serialize() == "b.c|a"
     assert normalize(path3, "cab").serialize() == "b.c|a"
-    assert path3.identity().serialize() == "e"
+    assert path3.identity().serialize() == ""  # the empty word
+    cycle5 = preset_graph("cycle:5")  # a generator named e
+    assert cycle5.identity().serialize() != cycle5.gen("e").serialize() == "e"
 
 
 def test_weight_and_length_caches_consistent():
@@ -429,9 +431,9 @@ def test_generators_out_of_alphabetical_order():
     ab = normalize(g, "ab")
     assert ab.key == (("b", "a"),)
     assert ab.serialize() == "b.a"
-    assert " ".join(t.serialize() for t in enumerate_up_to(g, 2)) == (
-        "e a b c a|a a|c b.a b|b b|c c|a c|b c|c"
-    )
+    assert [t.serialize() for t in enumerate_up_to(g, 2)] == [
+        "", *"a b c a|a a|c b.a b|b b|c c|a c|b c|c".split()
+    ]
     twin = normalize(build_graph("cba", 1, [("a", "b")]), "ba")
     assert twin == ab and hash(twin) == hash(ab)
     assert multiply(ab, twin).serialize() == "b.a|b.a"

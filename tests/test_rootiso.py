@@ -326,8 +326,8 @@ def _edge_tols(root, scale, k):
     halving lower at the other.  There the lower and the upper end of the
     root's node can give different levels, so only the rule on the
     certified node's ancestors stops where the bisection does.  No tols when
-    the root is exact, its node starts at 0, or k halvings meet it."""
-    if root.exact or root.lo == 0:
+    the root is exact or k halvings meet it."""
+    if root.exact:
         return []
     steps = rootiso.halvings(list(root.factor), root.lo, root.hi)
     *_, (ln, hn, den) = itertools.islice(steps, k + 1)
@@ -436,6 +436,20 @@ def _halving(root, k):
     the dyadic root they meet before."""
     *_, (ln, hn, den) = itertools.islice(rootiso.halvings(list(root.factor), root.lo, root.hi), k + 1)
     return Fraction(ln, den), Fraction(hn, den)
+
+
+def test_a_root_below_the_level_20_nodes_descends_past_0():
+    """0 is never a root, so a root below 2**-20 is not left on the node
+    [0, 2**-20]: it gets a deeper node that refinement can divide by, or, at
+    a dyadic, its exact value."""
+    ctx = SimpleNamespace(clique_poly=SimpleNamespace(scale=1), _refined={})
+    (tiny,) = rootiso.roots_in_unit_interval([-3, 2**30 + 1])
+    assert (tiny.lo, tiny.hi) == (Fraction(2, 2**30), Fraction(3, 2**30))
+    lo, hi = thermo._refine_root(ctx, tiny, 1e-12)
+    assert lo < Fraction(3, 2**30 + 1) < hi and (hi - lo) / lo <= Fraction(1e-12)
+    (dyadic,) = rootiso.roots_in_unit_interval([-3, 2**30])
+    assert dyadic.exact and dyadic.lo == Fraction(3, 2**30)
+    assert thermo._refine_root(ctx, dyadic, 1e-12) == (dyadic.lo, dyadic.hi)
 
 
 def test_refine_stops_within_most_halvings_and_at_a_dyadic_root():

@@ -356,16 +356,23 @@ def test_tail_mass_matches_the_dense_reference_on_many_terms():
 
 def test_tail_mass_keeps_its_beta_free_terms_per_cutoff_and_level():
     """Calls on one context, at several betas and levels, return the floats a
-    fresh context's first call returns; the context keeps one entry per
-    (cutoff, up_to), the level V = cutoff counted once, and none per beta."""
-    graph = many_term_graph(1)
+    fresh context's first call returns; the context keeps one entry per level
+    M = floor(V*scale) (every V < 0 on M = -1), whatever the cutoff, and none
+    per beta, so calls on one level share an entry and return one float."""
+    graph = many_term_graph(1)  # scale 12
     ctx = ThermoContext(graph)
-    levels = [(2, None), (3, Fraction(5, 2)), (3, Fraction(13, 7)), (2, -1), (3, None), (3, 3)]
+    levels = [
+        (2, None), (3, Fraction(5, 2)), (3, Fraction(13, 7)), (2, -1), (3, None), (3, 3),
+        (2, Fraction(13, 7)), (3, Fraction(73, 24)), (2, Fraction(-1, 7)),
+    ]
     for beta in (1.01 * ctx.beta_c, 1.5 * ctx.beta_c, 3 * ctx.beta_c):
         for cutoff, up_to in levels:
             got = tail_mass(ctx, beta, cutoff, up_to)
             assert got.hex() == tail_mass(ThermoContext(graph), beta, cutoff, up_to).hex()
-    assert sorted(ctx._tails) == [(2, -1), (2, 2), (3, Fraction(13, 7)), (3, Fraction(5, 2)), (3, 3)]
+        assert tail_mass(ctx, beta, 2, Fraction(13, 7)) is tail_mass(ctx, beta, 3, Fraction(13, 7))
+        assert tail_mass(ctx, beta, 3, Fraction(73, 24)) is tail_mass(ctx, beta, 3, 3)
+        assert tail_mass(ctx, beta, 2, Fraction(-1, 7)) is tail_mass(ctx, beta, 2, -1)
+    assert sorted(ctx._tails) == [-1, 22, 24, 30, 36]
 
 
 def test_tail_mass_bounds_each_level_and_beta_once(monkeypatch):
