@@ -285,12 +285,9 @@ def _cmd_kms_check(args):
     tails, degree = len({max(p._w - q._w, 0) for p, q in pairs}), len(ctx._coeffs) - 1
     if tails * degree > MAX_KMS_TAILS:
         raise ComputationError(f"{tails} Gibbs tails x degree {degree} is past the limit {MAX_KMS_TAILS}")
-    sums = thermo._level_sums(ctx, beta, cutoff)
-    rows = []
-    for pair1, pair2 in zip(pairs[::2], pairs[1::2]):
-        masses = thermo._twisted_masses(sums, pair1, pair2, beta)
-        report = thermo._kms_report(ctx, pair1, pair2, beta, cutoff, top, *masses, sums[-1])
-        rows.append(([t.serialize() for t in (*pair1, *pair2)], report))
+    quads = list(zip(pairs[::2], pairs[1::2]))
+    reports = thermo._kms_reports(ctx, beta, cutoff, quads)
+    rows = [([t.serialize() for t in (*pair1, *pair2)], r) for (pair1, pair2), r in zip(quads, reports)]
     failures = sum(not r.ok for _, r in rows)
     csv_lines = ["sample,p1,q1,p2,q2,residual,bound,ok"] + [
         ",".join([str(k), *monomials, _fmt(r.residual), _fmt(r.bound), str(int(r.ok))])

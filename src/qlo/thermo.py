@@ -21,7 +21,7 @@ its oracle: for (a, b) = wick(q1, p2), Tr(L_p1 L_q1^* L_p2 L_q2^* e^(-beta*H))_W
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -38,6 +38,7 @@ __all__ = [
     "RootsReport",
     "KmsIdentityReport",
     "partition_function",
+    "tail_mass",
     "beta_critical",
     "beta_critical_limsup_estimate",
     "clique_roots_in_unit_interval",
@@ -303,15 +304,6 @@ def _level_sums(ctx, beta, cutoff):
     return list(accumulate(n and _times_exp(n, -beta * (k / d)) for k, n in enumerate(counts)))
 
 
-def _twisted_masses(sums, pair1, pair2, beta):
-    """Tr(AB rho)_W and Tr(BA rho)_W of A = L_p1 L_q1^*, B = L_p2 L_q2^* on the
-    Z_V of `_level_sums`: AB fixes x = p1*a*u = q2*b*u when x, q1*a*u weigh <= W."""
-    for (p1, q1), (p2, q2) in ((pair1, pair2), (pair2, pair1)):
-        a = _twisted_weight(p1, q1, p2, q2)
-        level = -1 if a is None else len(sums) - 1 - max(p1._w, q1._w) - a
-        yield math.exp(-beta * ((p1._w + a) / p1.graph._scale)) * sums[level] if level >= 0 else 0.0
-
-
 def _exp_bracket(y):
     """Integer ratios (n, d) below and above exp(y), for a float y <= 0.
 
@@ -348,41 +340,13 @@ def gibbs_value(p, q):
     return StateValue.zero()
 
 
+@dataclass(frozen=True)
 class KmsIdentityReport:
-    """Verdict and both sides of one twisted-trace identity; frozen.
+    """Verdict and both sides of one twisted-trace identity."""
 
-    Built from the verdict, each side's scaled weight r*scale (None for a
-    zero side) and the scale.  `lhs` and `rhs` are the sides' StateValues,
-    built on first read; equality, hash and repr are those of the triple
-    (holds, lhs, rhs), and no attribute can be assigned or deleted.
-    """
-
-    __slots__ = ("_sides", "_values")
-
-    def __init__(self, holds, lhs_weight, rhs_weight, scale):
-        object.__setattr__(self, "_sides", (holds, lhs_weight, rhs_weight, scale))
-
-    @property
-    def holds(self):
-        return self._sides[0]
-
-    def _fields(self):
-        """(holds, lhs, rhs); the sides' StateValues are built on the first call."""
-        try:
-            return self._values
-        except AttributeError:
-            holds, lhs, rhs, scale = self._sides
-            sides = (_ZERO if w is None else StateValue("exact", Fraction(w, scale)) for w in (lhs, rhs))
-            object.__setattr__(self, "_values", (holds, *sides))
-            return self._values
-
-    @property
-    def lhs(self):
-        return self._fields()[1]
-
-    @property
-    def rhs(self):
-        return self._fields()[2]
+    holds: bool
+    lhs: StateValue
+    rhs: StateValue
 
     @property
     def lhs_exponent(self):
@@ -391,27 +355,6 @@ class KmsIdentityReport:
     @property
     def rhs_exponent(self):
         return self.rhs.exponent
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        holds, lhs, rhs = self._fields()
-        return f"KmsIdentityReport(holds={holds!r}, lhs={lhs!r}, rhs={rhs!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return KmsIdentityReport, self._sides
 
 
 KMS_SLACK = 1e-12  # added to every twisted-trace bound for the rounding of its float sums
@@ -452,6 +395,21 @@ def _kms_report(ctx, pair1, pair2, beta, cutoff, top, mass_ab, mass_ba, z_trunc)
     return KmsNumericReport(abs(psi_ab - twist * psi_ba), bound, psi_ab, psi_ba, twist, beta, cutoff)
 
 
+def _kms_reports(ctx, beta, cutoff, quads):
+    """`_kms_report` of each ((p1, q1), (p2, q2)) in quads, in closed form: the masses
+    Tr(AB rho)_W and Tr(BA rho)_W of A = L_p1 L_q1^*, B = L_p2 L_q2^* read off the Z_V
+    of `_level_sums`, as AB fixes x = p1*a*u = q2*b*u when x, q1*a*u weigh <= W."""
+    sums = _level_sums(ctx, beta, cutoff)
+    top = len(sums) - 1
+    for pair1, pair2 in quads:
+        masses = []
+        for (p1, q1), (p2, q2) in ((pair1, pair2), (pair2, pair1)):
+            a = _twisted_weight(p1, q1, p2, q2)
+            level = -1 if a is None else top - max(p1._w, q1._w) - a
+            masses.append(math.exp(-beta * ((p1._w + a) / p1.graph._scale)) * sums[level] if level >= 0 else 0.0)
+        yield _kms_report(ctx, pair1, pair2, beta, cutoff, top, *masses, sums[-1])
+
+
 def kms_identity_check(p1, q1, p2, q2):
     """Exact, beta-independent form of the twisted-trace condition.
 
@@ -462,17 +420,16 @@ def kms_identity_check(p1, q1, p2, q2):
     holds for every beta iff the two exponents agree exactly.  Each side's
     r*scale (None for zero) is decided on block masks by
     ``monoid._twisted_weight``, after an exact weight test as early exit.
-    The report keeps the two scaled weights; the exponents r are built as
-    Fractions only when its `lhs` or `rhs` is read.
     """
     graph = p1.graph
     if q1.graph is not graph or p2.graph is not graph or q2.graph is not graph:
         _check_same_graph(p1, q1)
         _check_same_graph(p1, p2)
         _check_same_graph(p1, q2)
-    lhs = _twisted_weight(p1, q1, p2, q2)
-    rhs = _twisted_weight(q1, p1, q2, p2)
-    return KmsIdentityReport(lhs == rhs, lhs, rhs, graph._scale)
+    w_lhs, w_rhs = _twisted_weight(p1, q1, p2, q2), _twisted_weight(q1, p1, q2, p2)
+    lhs = _ZERO if w_lhs is None else StateValue("exact", Fraction(w_lhs, graph._scale))
+    rhs = _ZERO if w_rhs is None else StateValue("exact", Fraction(w_rhs, graph._scale))
+    return KmsIdentityReport(w_lhs == w_rhs, lhs, rhs)
 
 
 def fock_state_value(p, q):

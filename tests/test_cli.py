@@ -334,6 +334,18 @@ def test_verify_fails_on_a_wrong_join(capsys, monkeypatch):
     assert "FAIL join-equals-brute-force" in out.splitlines()
 
 
+def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
+    def crash(pairs, basis):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(oracles, "join_mismatch", crash)
+    code, out, _ = run_cli(capsys, "verify", "--preset", "path:3", "--cutoff", "4")
+    assert code == cli.EXIT_VERIFICATION
+    lines = out.splitlines()
+    assert "FAIL join-equals-brute-force: boom" in lines
+    assert lines[-1] == "1 verification check(s) failed: join-equals-brute-force"
+
+
 def test_verify_work_guard_fails_fast(capsys):
     # 119,806 rows with traces of up to 582 blocks: unguarded, not done after 100 s
     start = time.perf_counter()
@@ -416,6 +428,18 @@ def test_exit_validation_on_a_name_that_holds_a_separator(capsys, tmp_path, name
     assert (code, out) == (3, "")
     separator = next(ch for ch in ".|," if ch in name)
     assert f"name {name!r} holds {separator!r}" in err
+
+
+@pytest.mark.parametrize("preset, message", [
+    ("free", "malformed preset 'free'; expected family:n"),
+    ("torus:3", "unknown preset family 'torus'; choose from ('free', 'abelian', 'path', 'cycle')"),
+    ("path:0", "preset size must be at least 1"),
+    ("cycle:2", "cycle presets need at least 3 vertices"),
+])
+def test_exit_validation_on_a_bad_preset(capsys, preset, message):
+    code, out, err = run_cli(capsys, "growth", "--preset", preset, "--cutoff", "2")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert message in err
 
 
 def test_exit_validation_when_graph_missing(capsys):

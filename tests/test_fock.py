@@ -73,6 +73,9 @@ def test_sparse_operator_basics():
         SparseOperator(2, {(0, 5): 1})
     with pytest.raises(ValueError):
         SparseOperator(2, {(-1, 0): 1})
+    for combine in (lambda x, y: x @ y, lambda x, y: x + y):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            combine(eye, a)
     assert SparseOperator(2, {(0, 0): 0, (1, 0): 1}).entries == {(1, 0): 1}
 
 
@@ -535,6 +538,8 @@ def test_density_and_gibbs_need_a_finite_beta():
     for beta in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ComputationError):
             gibbs_numeric(rep, identity, beta)
+    with pytest.raises(ValueError, match="operator dimension does not match the basis"):
+        gibbs_numeric(rep, SparseOperator.identity(rep.dim + 1), 1.0)
 
 
 def test_evolution_unitary_conjugation():
@@ -792,8 +797,7 @@ def test_kms_closed_form_matches_the_representation(graph, halves, factor, rng):
         p, r = rng.choice(rep.basis), rng.choice(rep.basis)
         for pair1, pair2 in (((p, r), (r, p)), ((p, rng.choice(rep.basis)), (rng.choice(rep.basis), r))):
             want = kms_numeric_check(rep, pair1, pair2, beta)
-            masses = qlo.thermo._twisted_masses(sums, pair1, pair2, beta)
-            got = qlo.thermo._kms_report(ctx, pair1, pair2, beta, rep.cutoff, rep._top, *masses, sums[-1])
+            (got,) = qlo.thermo._kms_reports(ctx, beta, rep.cutoff, [(pair1, pair2)])
             for field in ("psi_ab", "psi_ba", "bound"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert (g == 0.0) == (w == 0.0), (field, pair1, pair2)

@@ -1,8 +1,11 @@
 """Core monoid operations against word-level oracles and algebraic laws."""
 
+import ast
+import importlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,6 +27,7 @@ from qlo import (
     preset_graph,
     wick,
 )
+import qlo
 from qlo import monoid, oracles
 from qlo.growth import _clique_weights
 from qlo.monoid import _remove_front
@@ -51,6 +55,24 @@ from conftest import (
 )
 
 
+# -- package surface ------------------------------------------------------------
+
+
+def test_package_names_are_exported_by_their_submodules():
+    """Every name qlo/__init__.py imports from a submodule is in that
+    submodule's __all__: the package re-exports only declared public names."""
+    tree = ast.parse(Path(qlo.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert {node.module for node in imports} == {"monoid", "growth", "thermo", "fock", "presets"}
+    missing = [
+        (node.module, alias.name)
+        for node in imports
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"qlo.{node.module}").__all__
+    ]
+    assert missing == []
+
+
 # -- graph construction -------------------------------------------------------
 
 
@@ -76,6 +98,12 @@ def test_build_graph_rejects_bad_input():
         build_graph([], 1, [])
     with pytest.raises(GraphError):
         build_graph("ab", {"a": 1, "b": 0.5}, [])  # floats are not exact
+    with pytest.raises(GraphError, match="invalid weight 'x' for 'a'"):
+        build_graph("ab", {"a": "x", "b": 1}, [])
+    with pytest.raises(GraphError, match="missing weight for generator 'b'"):
+        build_graph("ab", {"a": 1}, [])
+    with pytest.raises(GraphError, match="weight given for unknown generator 'z'"):
+        build_graph("ab", {"a": 1, "b": 1, "z": 1}, [])
 
 
 def test_duplicate_edges_collapse():
@@ -239,6 +267,10 @@ def test_mismatched_graphs_raise(free2, path3):
         divides(free2.gen("a"), path3.gen("a"))
     with pytest.raises(MismatchedGraphError):
         join(free2.gen("a"), path3.gen("a"))
+    with pytest.raises(MismatchedGraphError):
+        left_quotient(free2.gen("a"), path3.gen("a"))
+    with pytest.raises(MismatchedGraphError):
+        wick(free2.gen("a"), path3.gen("a"))
 
 
 # -- divisibility and quotients ------------------------------------------------

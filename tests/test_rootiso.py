@@ -51,6 +51,9 @@ def test_exact_dyadic_roots_found_during_refinement():
     p = poly(1, -2)  # root exactly 1/2
     steps = list(itertools.islice(rootiso.halvings(p, Fraction(0), Fraction(1)), 3))
     assert steps == [(0, 1, 1), (1, 1, 2)]
+    # a bracket with the root at either end yields that root first, and stops
+    for lo, hi in ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(1, 2))):
+        assert list(rootiso.halvings(p, lo, hi)) == [(1, 1, 2)]
     (root,) = rootiso.roots_in_unit_interval(p)
     assert (root.lo, root.hi, root.multiplicity) == (
         Fraction(1, 2),
@@ -80,6 +83,11 @@ def test_roots_at_the_ends_of_the_unit_interval():
 
 def test_no_roots_reported_for_positive_polynomial():
     assert rootiso.roots_in_unit_interval(poly(1, 1, 1)) == []
+
+
+def test_the_zero_polynomial_is_refused():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        rootiso.roots_in_unit_interval([0, 0])
 
 
 def test_refine_shrinks_to_width():

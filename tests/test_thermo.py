@@ -256,6 +256,10 @@ def test_partition_function_truncated():
         trunc = partition_function(ctx, 1.5, "truncated", cutoff=cutoff)
         assert previous < trunc <= closed
         previous = trunc
+    with pytest.raises(ValueError, match="truncated method requires a cutoff"):
+        partition_function(ctx, 1.5, "truncated")
+    with pytest.raises(ValueError, match="unknown method 'series'"):
+        partition_function(ctx, 1.5, "series", cutoff=2)
 
 
 def test_truncated_sum_past_float_range():
@@ -437,6 +441,13 @@ def test_gibbs_value_rejects_mismatched_graphs():
         gibbs_value(make_free2().gen("a"), make_path3().gen("a"))
 
 
+def test_kms_identity_rejects_a_foreign_trace_in_any_place():
+    a, foreign = make_free2().gen("a"), make_path3().gen("a")
+    for quad in ((a, foreign, a, a), (a, a, foreign, a), (a, a, a, foreign)):
+        with pytest.raises(MismatchedGraphError):
+            kms_identity_check(*quad)
+
+
 def test_state_value_algebra():
     x = StateValue.exact(Fraction(3, 2))
     assert x == StateValue.exact(Fraction(6, 4)) and not x.is_zero()
@@ -463,9 +474,9 @@ def test_state_value_zero_is_one_instance_equal_to_a_fresh_zero():
 
 
 def test_kms_report_built_on_read_is_frozen_and_compares_by_value():
-    """The report keeps scaled weights and builds its sides on read. Like a
-    frozen dataclass of (holds, lhs, rhs), it refuses assignment and deletion
-    and compares, hashes and pickles by those values, whatever the scale."""
+    """The report is a frozen dataclass of (holds, lhs, rhs): it refuses
+    assignment and deletion, also of names that are not fields, and compares,
+    hashes and pickles by those values, whatever the scale."""
     g = make_free2()
     a, b = g.gen("a"), g.gen("b")
     report = kms_identity_check(a, b, a, b)
@@ -555,7 +566,7 @@ def _reference_side(front, star1, mid, star2):
     return StateValue.zero()
 
 
-# the report as a frozen dataclass of its three fields, each built eagerly
+# the report's reference: a frozen dataclass of its three fields, built apart from thermo
 EagerReport = dataclasses.make_dataclass(
     "KmsIdentityReport", [("holds", bool), ("lhs", StateValue), ("rhs", StateValue)], frozen=True
 )
@@ -568,7 +579,7 @@ def _assert_matches_reference(quad):
     report, unread = kms_identity_check(*quad), kms_identity_check(*quad)
     lhs, rhs = _reference_side(p1, q1, p2, q2), _reference_side(q1, p1, q2, p2)
     eager = EagerReport(lhs == rhs, lhs, rhs)
-    assert hash(unread) == hash(eager) and unread == report  # the sides built by hash and ==
+    assert hash(unread) == hash(eager) and unread == report  # a fresh report, as the reference
     assert (report.lhs, report.rhs) == (lhs, rhs), quad
     assert report.holds == (lhs == rhs), quad
     assert (report.lhs_exponent, report.rhs_exponent) == (lhs.exponent, rhs.exponent)
