@@ -7,7 +7,9 @@ exact integer signs on the rescaled exponent lattice (`rootiso`) and refined
 to the bracket an integer bisection stops at, both by rootiso's one node
 search (a float proposal that exact signs certify), so beta_c = 0 is
 returned exactly (never as a small float) and the smallest-root claim is
-certified by the isolation itself.
+certified by the isolation itself.  Z and the Gibbs tail are each evaluated
+exactly at one point: the tail, a series of nonnegative counts, grows up to
+that root, so its value above exp(-beta) and below the root's bracket bounds it.
 Equilibrium values on starred monomials are evaluated symbolically in the
 exponent, which makes the twisted-trace identity an exact, beta-independent
 check.  Its sides are decided in ``monoid`` on block masks and scaled integer
@@ -95,6 +97,8 @@ class ThermoContext:
         self._refined = {}  # (isolated root, tol) -> refined (lo, hi)
         self._tails = {}  # level M = floor(V*scale) -> the tail's (S's nonzero terms, {beta: bound})
         self.beta_c = beta_critical(self, tol)
+        # (n, d): the low end of the bracket beta_c is read from; Q > 0 on [0, n/d)
+        self._below = _refine_root(self, self._roots[0], tol)[0].as_integer_ratio()
 
     def growth(self, cutoff):
         """The growth table to the cutoff, counted once per graph."""
@@ -219,20 +223,21 @@ def clique_roots_in_unit_interval(ctx, tol):
 def partition_function(ctx, beta, method="closed", cutoff=None):
     """Sum of exp(-beta*weight) over the monoid.
 
-    "closed" evaluates the reciprocal of the clique polynomial at
-    t = exp(-beta) and requires beta above the critical value; "truncated"
+    "closed" is the reciprocal of the clique polynomial, evaluated exactly at
+    the float exp(-beta/scale), and requires beta above beta_c; "truncated"
     sums the growth table up to the cutoff and works for any finite beta > 0.
     """
     if method == "closed":
         if not beta > ctx.beta_c:
             raise ComputationError(f"closed form needs beta > beta_c = {ctx.beta_c:.12g}")
-        value = ctx.clique_poly.evaluate(math.exp(-beta))
+        n, d = math.exp(-beta / ctx.graph.scale).as_integer_ratio()
+        value = -rootiso._value(ctx._neg_q, n, d)  # d**deg * Q(n/d), exact, so nothing cancels
         if value <= 0:
             raise ComputationError(
                 "clique polynomial not positive here; beta is inside the "
                 "uncertainty window of beta_c"
             )
-        return 1.0 / value
+        return d ** ctx._neg_q[-1][0] / value
     if method == "truncated":
         if cutoff is None:
             raise ValueError("truncated method requires a cutoff")
@@ -249,13 +254,15 @@ def tail_mass(ctx, beta, cutoff, up_to=None):
     strictly above V; requires beta > beta_c.  In x = exp(-beta/scale), with
     Q the clique polynomial and P_V the growth series cut at V, the tail is
     R(x)/Q(x) where R = 1 - Q*P_V has integer coefficients, all in degrees
-    M+1 .. M+deg Q for M = floor(V*scale).  So nothing cancels against Z:
-    x is bracketed by rationals, R and Q are bounded on the bracket exactly,
-    and the result is rounded up, never below the exact tail.  R and Q are
-    kept as nonzero terms, R's convolved from Q's, and bounded by `rootiso`'s
-    sparse Horner.  V defaults to the cutoff, and counts run to the larger.
-    The bound depends on M alone (M < 0 is the whole Z), so the context keeps
-    R's beta-free terms per M, and with them the bound at each beta.
+    M+1 .. M+deg Q for M = floor(V*scale), so nothing cancels against Z.  As
+    sum_{m > M} a_m x**m with counts a_m >= 0, it grows with x up to Q's
+    smallest root.  So its exact value at a rational hi above x, certified
+    below the low end of the root bracket beta_c is read from, bounds it, and
+    is rounded up.  R and Q are kept as nonzero terms, R's convolved from
+    Q's, and evaluated by `rootiso`'s sparse Horner.  V defaults to the
+    cutoff, and counts run to the larger.  The bound depends on M alone
+    (M < 0 is the whole Z), so the context keeps R's beta-free terms per M,
+    and with them the bound at each beta.
     """
     if not beta > ctx.beta_c:
         raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
@@ -281,13 +288,13 @@ def _tail(ctx, beta, level):
     s, bounds = ctx._tails[top]
     if beta in bounds:
         return bounds[beta]
-    lo, hi = _exp_bracket(-beta / ctx.graph.scale)
-    s_num, s_den = _upper(s, lo, hi)
-    q_num, q_den = _upper(ctx._neg_q, lo, hi)  # -(a lower bound of Q)
-    if q_num >= 0:
+    hi_n, hi_d = _exp_bracket(-beta / ctx.graph.scale)
+    below_n, below_d = ctx._below
+    if hi_n * below_d >= below_n * hi_d:
         raise ComputationError("clique polynomial not certified positive here; beta is too close to beta_c")
-    num = hi[0] ** (top + 1) * s_num * q_den
-    den = hi[1] ** (top + 1) * s_den * -q_num
+    # hi**(top+1) * S(hi) / Q(hi), each _value times hi_d to its polynomial's degree
+    num = hi_n ** (top + 1) * rootiso._value(s, hi_n, hi_d) * hi_d ** ctx._neg_q[-1][0]
+    den = hi_d ** (top + 1 + s[-1][0]) * -rootiso._value(ctx._neg_q, hi_n, hi_d)
     value = num / den
     value_num, value_den = value.as_integer_ratio()
     if value_num * den < num * value_den:
@@ -305,31 +312,18 @@ def _level_sums(ctx, beta, cutoff):
 
 
 def _exp_bracket(y):
-    """Integer ratios (n, d) below and above exp(y), for a float y <= 0.
+    """An integer ratio (n, d) above exp(y), for a float y <= 0.
 
-    They lie within a slack of math.exp(y) that covers the rounding of y
+    It lies within a slack of math.exp(y) that covers the rounding of y
     itself (relative 2**-53, so about |y| * 2**-53 in exp(y)) and of
     math.exp (under one unit in the last place) eight times over.
     """
     x = math.exp(y)
     if x < 2.0**-1000:  # exp may have underflowed; 0 <= exp(y) < 2**-1000
-        return (0, 1), (1, 2**1000)
+        return 1, 2**1000
     slack = 2 + math.ceil(-y)  # in units of 2**-50
     n, d = x.as_integer_ratio()
-    return (n * (2**50 - slack), d * 2**50), (n * (2**50 + slack), d * 2**50)
-
-
-def _upper(terms, lo, hi):
-    """Upper bound (num, den) on [lo, hi], lo >= 0, of the integer polynomial
-    with nonzero terms (e, c): positive terms are largest at hi and negative
-    ones at lo, each part exact over its own power of that end's denominator."""
-    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
-    up = [t for t in terms if t[1] > 0]
-    down = [t for t in terms if t[1] < 0]
-    up_den = hi_d ** up[-1][0] if up else 1
-    down_den = lo_d ** down[-1][0] if down else 1
-    num = rootiso._value(up, hi_n, hi_d) * down_den + rootiso._value(down, lo_n, lo_d) * up_den
-    return num, up_den * down_den
+    return n * (2**50 + slack), d * 2**50
 
 
 def gibbs_value(p, q):

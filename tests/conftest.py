@@ -13,7 +13,9 @@ bisection (``reference_refine``), Sturm sequences of the squarefree part for
 root counts and multiplicities (``fraction_sturm_count``,
 ``fraction_multiplicity``), the closed-form weight counts of path:3 for its
 growth-series tail (``path3_relative_tail``), the dense convolution and
-per-coefficient powers for the Gibbs tail bound (``reference_tail_mass``),
+Fraction powers at one point for the Gibbs tail bound (``reference_tail_mass``),
+the split-sign bracket bound it replaced (``split_sign_tail_mass``), the
+tail Z - Z_V at 50 digits (``decimal_tail``),
 Fraction-keyed clique sums
 and series recurrences for L2 (``reference_clique_terms``,
 ``reference_inverse_terms``), and letter-by-letter Foata block kernels with
@@ -27,7 +29,9 @@ runs live in ``qlo.oracles``: the minimal-upper-bound search for joins
 
 import itertools
 import math
+import operator
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -409,6 +413,53 @@ def path3_relative_tail(beta, cutoff):
 
 
 
+def _dense_tail_terms(ctx, beta, cutoff, up_to):
+    """(scale, M, Q, S) on dense coefficient lists for ``tail_mass``: R = 1 - Q*P_V
+    by the full convolution, R(x) = x**(M+1) * S(x), M = max(floor(V*scale), -1)."""
+    if not beta > ctx.beta_c:
+        raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
+    bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
+    d, q, a = ctx.clique_poly._common(ctx.growth(max(Fraction(cutoff), bound))._series)
+    deg = len(q) - 1
+    top = max(math.floor(bound * d), -1)
+    a = a[: top + 1] + [0] * (top + 1 - len(a))
+    s = [
+        int(m == 0) - sum(q[k] * a[m - k] for k in range(m - top, min(deg, m) + 1))
+        for m in range(top + 1, top + deg + 1)
+    ]
+    return d, top, q, s
+
+
+def _round_up(exact):
+    value = float(exact)
+    return math.nextafter(value, math.inf) if Fraction(value) < exact else value
+
+
+def reference_tail_mass(ctx, beta, cutoff, up_to=None):
+    """``thermo.tail_mass`` on dense coefficient lists and Fractions: the tail
+    x**(M+1) * S(x)/Q(x) at the upper end hi of the bracket of x = exp(-beta/scale),
+    refused unless hi is below the smallest root's bracket as ``reference_refine``
+    gives it at ctx.tol.  Same rational bound, same rounding."""
+    d, top, q, s = _dense_tail_terms(ctx, beta, cutoff, up_to)
+    hi = Fraction(*_exp_bracket(-beta / d))
+    if hi >= reference_refine(ctx.smallest_root(), d, ctx.tol)[0]:
+        raise ComputationError("clique polynomial not certified positive here")
+    at_hi = [hi**j for j in range(max(len(q), len(s)))]
+    return _round_up(hi ** (top + 1) * sum(map(operator.mul, s, at_hi)) / sum(map(operator.mul, q, at_hi)))
+
+
+def decimal_tail(ctx, beta, cutoff, up_to=None):
+    """Z - Z_V at 50 digits, V = up_to or the cutoff: 1/Q at t = exp(-beta) less
+    the growth counts up to V, each term by its own Decimal exponential."""
+    bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
+    rows = ctx.growth(max(Fraction(cutoff), bound)).rows
+    with localcontext() as dec:
+        dec.prec = 50
+        y = Decimal(-beta)
+        q = sum(c * (y * e.numerator / e.denominator).exp() for e, c in ctx.clique_poly.terms.items())
+        return 1 / q - sum(n * (y * w.numerator / w.denominator).exp() for w, n in rows if w <= bound)
+
+
 def _dense_upper(coeffs, lo, hi):
     """Upper bound (num, den) of a dense integer polynomial on [lo, hi], lo >= 0:
     each term at the end where it is largest, over one common denominator."""
@@ -423,33 +474,22 @@ def _dense_upper(coeffs, lo, hi):
     return num, lo_d**deg * hi_d**deg
 
 
-def reference_tail_mass(ctx, beta, cutoff, up_to=None):
-    """``thermo.tail_mass`` on dense coefficient lists: R = 1 - Q*P_V by the
-    full convolution, and each bound term by its own powers of the ends of
-    the bracket of x = exp(-beta/scale).  Same rational bound, same rounding."""
-    if not beta > ctx.beta_c:
-        raise ComputationError(f"tail bound needs beta > beta_c = {ctx.beta_c:.12g}")
-    bound = Fraction(cutoff) if up_to is None else Fraction(up_to)
-    d, q, a = ctx.clique_poly._common(ctx.growth(max(Fraction(cutoff), bound))._series)
-    deg = len(q) - 1
-    top = max(math.floor(bound * d), -1)
-    a = a[: top + 1] + [0] * (top + 1 - len(a))
-    s = [
-        int(m == 0) - sum(q[k] * a[m - k] for k in range(m - top, min(deg, m) + 1))
-        for m in range(top + 1, top + deg + 1)
-    ]
-    lo, hi = _exp_bracket(-beta / d)
+def split_sign_tail_mass(ctx, beta, cutoff, up_to=None):
+    """The bound ``tail_mass`` gave before it evaluated at one point: R and Q
+    bounded on the whole bracket [lo, hi] of x = exp(-beta/scale), lo as far
+    below exp as ``_exp_bracket``'s hi is above, each term at the end where it
+    is largest, and refused unless Q's lower bound is positive.  The one-point
+    bound is never above it."""
+    d, top, q, s = _dense_tail_terms(ctx, beta, cutoff, up_to)
+    y = -beta / d
+    hi, x = _exp_bracket(y), math.exp(y)
+    n, den = x.as_integer_ratio()
+    lo = (0, 1) if x < 2.0**-1000 else (n * (2**50 - 2 - math.ceil(-y)), den * 2**50)
     s_num, s_den = _dense_upper(s, lo, hi)
     q_num, q_den = _dense_upper([-c for c in q], lo, hi)
     if q_num >= 0:
         raise ComputationError("clique polynomial not certified positive here")
-    num = hi[0] ** (top + 1) * s_num * q_den
-    den = hi[1] ** (top + 1) * s_den * -q_num
-    value = num / den
-    value_num, value_den = value.as_integer_ratio()
-    if value_num * den < num * value_den:
-        value = math.nextafter(value, math.inf)
-    return value
+    return _round_up(Fraction(hi[0] ** (top + 1) * s_num * q_den, hi[1] ** (top + 1) * s_den * -q_num))
 
 
 # -- letter-by-letter Foata kernels ---------------------------------------------

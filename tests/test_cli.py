@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from qlo.cli import (
 
 from conftest import (
     cliques_by_subset_scan,
+    decimal_tail,
     largest_cutoff,
     successors_by_pair_scan,
     weighted_graphs,
@@ -229,19 +232,20 @@ SCALE582_STDOUT = {
         "0.00786915296765801,1,0\n"
         "0.61002383966488,1,1\n"
     ),
-    # gibbs and kms-check bound their Gibbs tails on Q's 8 nonzero terms; kms-check
-    # divides by Z_W from growth counts, as gibbs's Z_truncated
+    # gibbs and kms-check bound their Gibbs tails on Q's 8 nonzero terms, each tail
+    # exact at one point above exp(-beta/582); kms-check divides by Z_W from growth
+    # counts, as gibbs's Z_truncated
     ("gibbs --cutoff 4 --beta 6", "csv"): (
         "quantity,value\n"
         "beta,6\n"
         "cutoff,4\n"
         "dimension,3207337841\n"
         "Z_truncated,68.4322370911484\n"
-        "Z_closed,68.875126716255\n"
+        "Z_closed,68.8751267162543\n"
         "psi_vacuum,0.0146129958994041\n"
-        "psi_vacuum_times_Z_closed,1.00647194427557\n"
-        "normalization_gap,0.00647194427557052\n"
-        "tail_bound,0.442889625112494\n"
+        "psi_vacuum_times_Z_closed,1.00647194427556\n"
+        "normalization_gap,0.00647194427556053\n"
+        "tail_bound,0.442889625109895\n"
     ),
     ("gibbs --cutoff 4 --beta 6", "json"): (
         "{\n"
@@ -249,21 +253,21 @@ SCALE582_STDOUT = {
         '  "cutoff": 4.0,\n'
         '  "dimension": 3207337841,\n'
         '  "Z_truncated": 68.43223709114841,\n'
-        '  "Z_closed": 68.87512671625495,\n'
+        '  "Z_closed": 68.87512671625427,\n'
         '  "psi_vacuum": 0.014612995899404088,\n'
-        '  "psi_vacuum_times_Z_closed": 1.0064719442755705,\n'
-        '  "normalization_gap": 0.006471944275570518,\n'
-        '  "tail_bound": 0.4428896251124941\n'
+        '  "psi_vacuum_times_Z_closed": 1.0064719442755605,\n'
+        '  "normalization_gap": 0.006471944275560526,\n'
+        '  "tail_bound": 0.44288962510989544\n'
         "}\n"
     ),
     ("kms-check --cutoff 3/2 --beta 6 --samples 6", "csv"): (
         "sample,p1,q1,p2,q2,residual,bound,ok\n"
-        "0,b|d,b|b,e|b,a.e,0,0.302511465085401,1\n"
-        "1,c,d|a,e,d|b,0,0.252294071899781,1\n"
-        "2,d,b|d,a|d,d|a,0,2.63245753316384,1\n"
-        "3,b|e,c,a.e,d|b,0,0.139208532764143,1\n"
-        "4,a|c,b|e,a|a,c,0,2.58128359420583,1\n"
-        "5,b.c,a.b,d|b,c,0,0.289382144642569,1\n"
+        "0,b|d,b|b,e|b,a.e,0,0.302511465083637,1\n"
+        "1,c,d|a,e,d|b,0,0.252294071898295,1\n"
+        "2,d,b|d,a|d,d|a,0,2.63245753314834,1\n"
+        "3,b|e,c,a.e,d|b,0,0.139208532763324,1\n"
+        "4,a|c,b|e,a|a,c,0,2.58128359419063,1\n"
+        "5,b.c,a.b,d|b,c,0,0.289382144640881,1\n"
     ),
 }
 
@@ -290,14 +294,17 @@ def test_limsup_output(capsys):
 
 
 def test_gibbs_report(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "gibbs", "--preset", "path:3", "--beta", "1.5", "--cutoff", "6",
-        "--format", "json",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["normalization_gap"] <= payload["tail_bound"]
+    # Q = (1 - t)**12 is 5.5e-13 at t = exp(-0.1): the tail bound still admits it
+    for preset, beta, cutoff in (("path:3", 1.5, 6), ("abelian:12", 0.1, 2)):
+        code, out, _ = run_cli(
+            capsys,
+            "gibbs", "--preset", preset, "--beta", str(beta), "--cutoff", str(cutoff),
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["normalization_gap"] <= payload["tail_bound"]
+        assert Decimal(payload["tail_bound"]) >= decimal_tail(ThermoContext(preset_graph(preset)), beta, cutoff)
 
 
 def test_kms_check_passes(capsys):
@@ -455,11 +462,15 @@ def test_exit_validation_both_sources(capsys):
 
 
 def test_exit_computation_on_subcritical_beta(capsys):
-    code, _, err = run_cli(
-        capsys, "gibbs", "--preset", "free:2", "--beta", "0.2", "--cutoff", "4"
-    )
-    assert code == 4
-    assert "beta_c" in err
+    # below beta_c, and one float above it, where exp(-beta) is not yet certified
+    # below the bracket of Q's smallest root that beta_c is read from
+    for preset in ("free:2", "path:3", "cycle:5"):
+        beta_c = ThermoContext(preset_graph(preset)).beta_c
+        for command, beta in itertools.product(("gibbs", "kms-check"), (0.2, math.nextafter(beta_c, math.inf))):
+            argv = [command, "--preset", preset, "--beta", repr(beta), "--cutoff", "4"]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (4, ""), argv
+            assert "beta_c" in err
 
 
 @pytest.mark.parametrize("command", ["kms-check", "gibbs"])

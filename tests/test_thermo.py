@@ -33,11 +33,13 @@ from qlo import (
     multiply,
     normalize,
     partition_function,
+    preset_graph,
     tail_mass,
     wick,
 )
 from conftest import (
     NAMED_GRAPHS,
+    decimal_tail,
     make_abelian2,
     make_abelian3,
     make_free2,
@@ -47,6 +49,7 @@ from conftest import (
     many_term_graph,
     random_graph,
     reference_tail_mass,
+    split_sign_tail_mass,
     weighted_graphs,
 )
 
@@ -220,6 +223,17 @@ def test_partition_function_free2_closed():
     assert abs(partition_function(ctx, math.log(4)) - 2.0) <= 1e-12
 
 
+@pytest.mark.parametrize("letters, beta", [(12, 0.1), (6, 0.05), (12, 0.5)])
+def test_partition_function_complete_graphs_closed(letters, beta):
+    # Q = (1 - t)**k has |Q|_1 = 2**k, so a float sum of its terms near t = 1
+    # cancels; Q evaluated exactly at the float exp(-beta) does not
+    ctx = ThermoContext(preset_graph(f"abelian:{letters}"))
+    with localcontext() as dec:
+        dec.prec = 50
+        exact = (1 - Decimal(-beta).exp()) ** -letters
+    assert abs(Decimal(partition_function(ctx, beta)) / exact - 1) <= Decimal("1e-13")
+
+
 def test_partition_function_rejects_subcritical_beta():
     ctx = ThermoContext(make_free2())
     with pytest.raises(ComputationError):
@@ -269,8 +283,8 @@ def test_truncated_sum_past_float_range():
     beta, cutoff = 0.7, 1100
     z_w = partition_function(ctx, beta, "truncated", cutoff=cutoff)
     z_closed = partition_function(ctx, beta)
-    # Q(exp(-0.7)) is about 3.4e-3, so the float Z_closed = 1/Q loses about
-    # three digits to cancellation; the tail bound itself is tight
+    # Q(exp(-0.7)) is about 3.4e-3, evaluated exactly at the float exp(-0.7),
+    # whose rounding Q's slope magnifies; the tail bound itself is tight
     slack = 1e-12 * z_closed
     assert z_closed - tail_mass(ctx, beta, cutoff) - slack <= z_w <= z_closed + slack
     with localcontext() as dec:
@@ -334,13 +348,17 @@ def _tail_or_refusal(tail, ctx, beta, cutoff, up_to):
 @settings(deadline=None, max_examples=80)
 @given(weighted_graphs(min_letters=1, max_letters=5), st.data())
 def test_tail_mass_matches_the_dense_reference_bit_for_bit(graph, data):
-    # the sparse terms give the same rational bound, so the same float
+    # the sparse terms give the same rational bound, so the same float; it bounds the
+    # 50-digit tail, is never above the split-sign bound, and admits every beta >= beta_c + tol
     ctx = ThermoContext(graph)
     if ctx.beta_c == 0.0:
-        beta = data.draw(st.floats(0.01, 3.0), label="beta")
+        far = st.floats(0.01, 3.0)
     else:
-        factor = data.draw(st.floats(1.0, 3.0, exclude_min=True), label="factor")
-        beta = ctx.beta_c * factor
+        far = st.floats(1.0, 3.0, exclude_min=True).map(lambda factor: ctx.beta_c * factor)
+    near = st.sampled_from([0, 1, 2, 4, 10]).map(
+        lambda k: ctx.beta_c + k * ctx.tol if k else math.nextafter(ctx.beta_c, math.inf)
+    )
+    beta = data.draw(st.one_of(far, near), label="beta")
     cutoff = Fraction(data.draw(st.integers(0, 8), label="twice cutoff"), 2)
     up_to = data.draw(st.sampled_from(
         [None, cutoff, Fraction(-1, 2), Fraction(-1, 7), cutoff - Fraction(1, 7),
@@ -348,6 +366,12 @@ def test_tail_mass_matches_the_dense_reference_bit_for_bit(graph, data):
     ), label="up_to")
     got = _tail_or_refusal(tail_mass, ctx, beta, cutoff, up_to)
     assert got == _tail_or_refusal(reference_tail_mass, ctx, beta, cutoff, up_to)
+    if got is ComputationError:
+        assert beta < ctx.beta_c + ctx.tol
+        return
+    assert Decimal(got) >= decimal_tail(ctx, beta, cutoff, up_to)
+    split = _tail_or_refusal(split_sign_tail_mass, ctx, beta, cutoff, up_to)
+    assert split is ComputationError or got <= split
 
 
 def test_tail_mass_matches_the_dense_reference_on_many_terms():
@@ -384,7 +408,7 @@ def test_tail_mass_bounds_each_level_and_beta_once(monkeypatch):
     ctx = ThermoContext(many_term_graph(1))
     beta = 1.5 * ctx.beta_c
     first = tail_mass(ctx, beta, 3, Fraction(5, 2))
-    monkeypatch.setattr(qlo.thermo, "_upper", None)  # bounding now would raise TypeError
+    monkeypatch.setattr(qlo.thermo, "_exp_bracket", None)  # bounding now would raise TypeError
     assert tail_mass(ctx, beta, 3, Fraction(5, 2)) is first
     with pytest.raises(TypeError):
         tail_mass(ctx, 2 * beta, 3, Fraction(5, 2))
